@@ -24,7 +24,7 @@ BENCH_FLAGS = -table 6 -quick -stream-bench -index-bench -eval-bench -pipeline-b
 # results); `make clean-data` wipes it.
 DATA_DIR ?= gecco-data
 
-.PHONY: build test race vet lint staticcheck fmt-check bench bench-gate bench-baseline shard-bench serve examples clean-data all
+.PHONY: build test race vet lint staticcheck fmt-check fuzz bench bench-check bench-gate bench-baseline shard-bench serve examples clean-data all
 
 all: build vet lint fmt-check test
 
@@ -63,6 +63,18 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
+
+# Differential fuzzing, a fixed time per target. FuzzReadXES holds the XES
+# scanner to the encoding/xml decoder it replaced; its seed corpus lives in
+# internal/xes/testdata/fuzz. A short minimisation budget keeps a large new
+# input from stalling the run.
+fuzz:
+	$(GO) test ./internal/xes -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime 30s -fuzzminimizetime 2s
+
+# bench/ is a module of its own, so `go test ./...` never builds it: vet and
+# test it on its own, offline, to catch changes to the packages it calls.
+bench-check:
+	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
 # Quick Table VI run with a machine-readable report (the CI artifact).
 bench:

@@ -67,6 +67,17 @@ func (b *Builder) StartTrace(id string) {
 	b.traceAttrs = append(b.traceAttrs, nil)
 }
 
+// SetTraceID replaces the current trace's identifier, for loaders that
+// learn it only after the trace's events: XES allows a trace's
+// concept:name anywhere among its children.
+func (b *Builder) SetTraceID(id string) {
+	t := len(b.traceIDs) - 1
+	if t < 0 {
+		panic("eventlog: SetTraceID before StartTrace")
+	}
+	b.traceIDs[t] = id
+}
+
 // SetTraceAttr records a trace-level attribute on the current trace.
 func (b *Builder) SetTraceAttr(name string, v Value) {
 	t := len(b.traceAttrs) - 1

@@ -141,7 +141,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	cfg := core.Config{Mode: core.DFGUnbounded}
 
 	svc1 := New(Options{DataDir: dir})
-	want, meta, err := svc1.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1"), Config: cfg})
+	want, meta, err := svc1.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1"), Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// Same request: served from the reloaded result cache, no pipeline run.
-	got, meta, err := svc2.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1"), Config: cfg})
+	got, meta, err := svc2.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1"), Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 	// Fresh constraints on the same log: result-cache miss, but the session
 	// warm-opens from the spilled index instead of re-indexing the log.
-	res2, _, err := svc2.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1\n|g| <= 2"), Config: cfg})
+	res2, _, err := svc2.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1\n|g| <= 2"), Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestEvictionSpillsIndex(t *testing.T) {
 
 	do := func(log *eventlog.Log, text string) {
 		t.Helper()
-		if _, _, err := svc.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, text), Config: cfg}); err != nil {
+		if _, _, err := svc.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, text), Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestCorruptIndexFileFallsBack(t *testing.T) {
 
 	svc := New(Options{DataDir: dir})
 	defer svc.Close()
-	res, _, err := svc.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1"), Config: core.Config{Mode: core.DFGUnbounded}})
+	res, _, err := svc.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1"), Config: core.Config{Mode: core.DFGUnbounded}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -459,22 +459,13 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 	// rest reuse it.
 	var (
 		parseOnce sync.Once
-		parsed    *eventlog.Log
+		parsed    *eventlog.Index
 		parseErr  error
 	)
 	text := env.Log
-	load := func() (*eventlog.Log, error) {
+	load := func() (*eventlog.Index, error) {
 		//lint:gecco-allow(oncesafe): a fresh Once per request is the point — every per-set copy of this one request shares the closure (and so this Once); single-flight across requests is the wire memo's job, not this loader's
-		parseOnce.Do(func() {
-			if format == "xes" {
-				parsed, parseErr = xes.Read(strings.NewReader(text))
-			} else {
-				parsed, parseErr = csvlog.Read(strings.NewReader(text), csvlog.Options{})
-			}
-			if parseErr != nil {
-				parseErr = fmt.Errorf("parsing %s log: %w", format, parseErr)
-			}
-		})
+		parseOnce.Do(func() { parsed, parseErr = parseUpload(format, text) })
 		return parsed, parseErr
 	}
 	set, err := constraints.ParseSet(env.Constraints)
@@ -516,23 +507,41 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 	default:
 		return Request{}, "", fmt.Errorf("unknown solver %q (want bb or mip)", env.Solver)
 	}
-	req := Request{Constraints: set, Config: cfg, Tag: format, loadLog: load}
+	req := Request{Constraints: set, Config: cfg, Tag: format, loadIndex: load}
 	wk := wireKey(format, text)
 	if d, ok := s.wire.get(wk); ok {
 		req.digest = d
 		return req, format, nil
 	}
-	log, err := load()
+	x, err := load()
 	if err != nil {
 		return Request{}, "", err
 	}
-	req.Log = log
+	req.Index = x
 	// Empty logs are rejected by validation, so memoising one would let a
 	// later byte-identical upload dodge that check via the lazy path.
-	if len(log.Traces) > 0 {
+	if x.NumTraces() > 0 {
 		s.wire.put(wk, req.logDigest())
 	}
 	return req, format, nil
+}
+
+// parseUpload parses an uploaded log of the given wire format straight
+// into its columnar index; no *Log is built on the serving path.
+func parseUpload(format, text string) (*eventlog.Index, error) {
+	var (
+		x   *eventlog.Index
+		err error
+	)
+	if format == "xes" {
+		x, err = xes.ReadIndex(strings.NewReader(text))
+	} else {
+		x, err = csvlog.ReadIndex(strings.NewReader(text), csvlog.Options{})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s log: %w", format, err)
+	}
+	return x, nil
 }
 
 // parseMode maps the wire spelling of a candidate mode onto core.Mode.

@@ -29,6 +29,9 @@ import (
 // and log-level attributes are excluded for the same reason: constraints
 // and distance read only event data, so they cannot change the result.
 //
+// The serving path digests uploads with IndexDigest, which has its own
+// encoder; LogDigest is the reference it is pinned against.
+//
 //lint:gecco-allow(ctxflow): pure CPU hash over a body already capped at maxBodyBytes (64 MiB); finishes in tens of ms, nothing to cancel
 func LogDigest(log *eventlog.Log) string {
 	h := sha256.New()
@@ -63,6 +66,91 @@ func LogDigest(log *eventlog.Log) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// IndexDigest is LogDigest computed from a columnar Index: it hashes the
+// same bytes in the same order, so an upload parsed straight into its Index
+// keys the result cache, the wire memo and its .gidx file exactly as its
+// *Log would. Each event's attributes are visited in name order.
+//
+//lint:gecco-allow(ctxflow): pure CPU hash over an index built from a body already capped at maxBodyBytes (64 MiB); nothing to cancel
+func IndexDigest(x *eventlog.Index) string {
+	cols := append([]*eventlog.Column(nil), x.Columns()...)
+	sort.Slice(cols, func(i, j int) bool { return cols[i].Name() < cols[j].Name() })
+	d := newDigester()
+	d.putInt(x.NumTraces())
+	for t := 0; t < x.NumTraces(); t++ {
+		d.putStr(x.TraceID(t))
+		seq := x.Seq(t)
+		d.putInt(len(seq))
+		for j, c := range seq {
+			pos := x.TraceStart(t) + j
+			d.putStr(x.Classes[c])
+			n := 0
+			for _, col := range cols {
+				if col.Has(pos) {
+					n++
+				}
+			}
+			d.putInt(n)
+			for _, col := range cols {
+				if v, ok := col.Value(pos); ok {
+					d.putAttr(col.Name(), v)
+				}
+			}
+		}
+	}
+	return d.sum()
+}
+
+// digester feeds IndexDigest's copy of LogDigest's length-prefixed encoding
+// to SHA-256, through a buffer so that a field does not cost a hash call.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+}
+
+const digestChunk = 8 << 10
+
+func newDigester() *digester {
+	return &digester{h: sha256.New(), buf: make([]byte, 0, digestChunk+1<<10)}
+}
+
+func (d *digester) putInt(n int) {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(n))
+	d.spill()
+}
+
+func (d *digester) putStr(s string) {
+	d.putInt(len(s))
+	d.buf = append(d.buf, s...)
+	d.spill()
+}
+
+// putAttr encodes one event attribute. A time hashes its instant in
+// nanoseconds: AsString renders RFC3339 without sub-second precision, but
+// gap/span constraints compare at full precision — two logs differing only
+// in fractional seconds must not collide on one cache key.
+func (d *digester) putAttr(name string, v eventlog.Value) {
+	d.putStr(name)
+	d.putInt(int(v.Kind))
+	if v.Kind == eventlog.KindTime {
+		d.putInt(int(v.Time.UnixNano()))
+	} else {
+		d.putStr(v.AsString())
+	}
+}
+
+func (d *digester) spill() {
+	if len(d.buf) >= digestChunk {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+func (d *digester) sum() string {
+	d.h.Write(d.buf)
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // canonicalConstraints renders the set as its sorted constraint strings, so

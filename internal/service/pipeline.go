@@ -18,10 +18,11 @@ import (
 	"gecco/internal/pipeline"
 )
 
-// PipelineRequest is one staged run: a raw log, optional user constraints,
-// and a stage list (empty = the default suggest→abstract→discover→conform).
+// PipelineRequest is one staged run: a log in its columnar form, optional
+// user constraints, and a stage list (empty = the default
+// suggest→abstract→discover→conform).
 type PipelineRequest struct {
-	Log         *eventlog.Log
+	Index       *eventlog.Index
 	Constraints *constraints.Set // nil or empty lets a suggest stage supply them
 	Stages      []pipeline.StageSpec
 }
@@ -37,7 +38,7 @@ type PipelineOutcome struct {
 // stops the run at the next stage boundary or solver sampling point;
 // service shutdown cancels it too.
 func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*PipelineOutcome, error) {
-	if req.Log == nil || len(req.Log.Traces) == 0 {
+	if req.Index == nil || req.Index.NumTraces() == 0 {
 		return nil, fmt.Errorf("%w: empty log", ErrInvalidRequest)
 	}
 	stages, err := pipeline.BuildStages(req.Stages)
@@ -48,7 +49,7 @@ func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*Pipeli
 	if set == nil {
 		set = constraints.NewSet()
 	}
-	digest := LogDigest(req.Log)
+	digest := IndexDigest(req.Index)
 	base := &pipeline.State{IndexKey: digest}
 	if set.Len() > 0 {
 		base.Constraints = set
@@ -76,15 +77,14 @@ func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*Pipeli
 	}
 	defer func() { <-s.sem }()
 
-	// The working index: reuse a live session's frozen index when the log
-	// is already known, otherwise intern the upload once.
+	// The working index: a live session's when the log is already known,
+	// so that the run's cached states share it instead of pinning a second
+	// copy; otherwise the upload's own.
+	base.Index = req.Index
 	if s.sessions != nil {
 		if sess, ok := s.sessions.peek(digest); ok {
 			base.Index = sess.Index()
 		}
-	}
-	if base.Index == nil {
-		base.Index = eventlog.NewIndex(req.Log)
 	}
 
 	// Fail fast on an unsatisfiable stage list before burning a slot on
@@ -135,7 +135,7 @@ func (s *Service) pipelineEnv() (*pipeline.Env, func()) {
 	var acquired []held
 	if s.sessions != nil {
 		env.AcquireSession = func(ctx context.Context, key string, x *eventlog.Index) (*core.Session, error) {
-			sess, err := s.sessions.getOrCreateIndex(key, x)
+			sess, err := s.sessions.getOrCreate(key, func() (*eventlog.Index, error) { return x, nil })
 			if err == nil {
 				acquired = append(acquired, held{key, sess})
 			}

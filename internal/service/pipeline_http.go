@@ -17,7 +17,6 @@ import (
 	"gecco/internal/conformance"
 	"gecco/internal/constraints"
 	"gecco/internal/csvlog"
-	"gecco/internal/eventlog"
 	"gecco/internal/pipeline"
 	"gecco/internal/xes"
 )
@@ -193,26 +192,18 @@ func buildPipelineRequest(env *PipelineHTTPRequest) (PipelineRequest, string, er
 			format = "csv"
 		}
 	}
-	var (
-		log *eventlog.Log
-		err error
-	)
-	switch format {
-	case "xes":
-		log, err = xes.Read(strings.NewReader(env.Log))
-	case "csv":
-		log, err = csvlog.Read(strings.NewReader(env.Log), csvlog.Options{})
-	default:
+	if format != "xes" && format != "csv" {
 		return PipelineRequest{}, "", fmt.Errorf("unknown format %q (want xes or csv)", env.Format)
 	}
+	x, err := parseUpload(format, env.Log)
 	if err != nil {
-		return PipelineRequest{}, "", fmt.Errorf("parsing %s log: %w", format, err)
+		return PipelineRequest{}, "", err
 	}
 	set, err := constraints.ParseSet(env.Constraints)
 	if err != nil {
 		return PipelineRequest{}, "", fmt.Errorf("parsing constraints: %w", err)
 	}
-	return PipelineRequest{Log: log, Constraints: set, Stages: env.Stages}, format, nil
+	return PipelineRequest{Index: x, Constraints: set, Stages: env.Stages}, format, nil
 }
 
 func buildPipelineResponse(out *PipelineOutcome, format string, includeAbstracted bool) (*PipelineResponse, error) {

@@ -19,7 +19,7 @@
 // derived from the service's base context, a synchronous caller that goes
 // away (client disconnect, timeout) cancels the job when it was its last
 // waiter, and shutting the service down cancels everything mid-frontier
-// via core.RunContext.
+// via Session.Solve, which carries the job's context.
 package service
 
 import (
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +49,7 @@ type Options struct {
 	MaxConcurrent int
 	// MaxQueued bounds the jobs waiting for a concurrency slot; beyond it
 	// new non-coalescing requests are rejected with ErrBusy (HTTP 503) as
-	// backpressure — each queued job pins its parsed log in memory.
+	// backpressure — each queued job pins its parsed index in memory.
 	// <= 0 means 4×MaxConcurrent.
 	MaxQueued int
 	// CacheCapacity is the number of results the LRU retains; <= 0 means
@@ -68,7 +69,7 @@ type Options struct {
 	// SessionCapacity bounds the LRU of live per-log sessions (index, DFG,
 	// warm distance memo) kept under the result cache, so a repeat log with
 	// fresh constraints skips the constraint-independent analysis. Each
-	// session pins its parsed log and memos in memory. <= 0 means 16; use
+	// session pins its log's index and memos in memory. <= 0 means 16; use
 	// NoSessions to disable.
 	SessionCapacity int
 	// NoSessions disables the session cache: every job rebuilds its log's
@@ -156,10 +157,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Request is one abstraction problem: a log, a parsed constraint set, and a
-// pipeline configuration.
+// Request is one abstraction problem: a log in its columnar form, a parsed
+// constraint set, and a pipeline configuration.
 type Request struct {
-	Log         *eventlog.Log
+	Index       *eventlog.Index
 	Constraints *constraints.Set
 	Config      core.Config
 	// Tag is opaque caller metadata echoed on job snapshots; the HTTP
@@ -168,37 +169,37 @@ type Request struct {
 	// keep the first submitter's tag (HTTP pollers can override with
 	// ?format=). It does not participate in the cache key.
 	Tag string
-	// digest memoises LogDigest(Log) so a batch solving N constraint sets
-	// against one log hashes it once, not N times. Filled lazily inside the
-	// service; external callers leave it empty.
+	// digest memoises IndexDigest(Index) so a batch solving N constraint
+	// sets against one log hashes it once, not N times. Filled lazily
+	// inside the service; external callers leave it empty.
 	digest string
-	// loadLog, when non-nil, parses the uploaded log on demand. The HTTP
+	// loadIndex, when non-nil, parses the uploaded log on demand. The HTTP
 	// layer sets it together with a pre-known digest (via the wire-digest
-	// memo) and leaves Log nil, so requests served from the result cache —
-	// or from a warm-opened spilled index — never pay the parse. Invariant:
-	// either Log is non-nil or digest is non-empty.
-	loadLog func() (*eventlog.Log, error)
+	// memo) and leaves Index nil, so requests served from the result cache —
+	// or from a live or warm-opened session — never pay the parse.
+	// Invariant: either Index is non-nil or digest is non-empty.
+	loadIndex func() (*eventlog.Index, error)
 }
 
 // logDigest returns the request's memoised log digest, computing it on
 // first use.
 func (r *Request) logDigest() string {
 	if r.digest == "" {
-		r.digest = LogDigest(r.Log)
+		r.digest = IndexDigest(r.Index)
 	}
 	return r.digest
 }
 
-// log returns the parsed event log, invoking the lazy loader on first use.
-func (r *Request) log() (*eventlog.Log, error) {
-	if r.Log == nil && r.loadLog != nil {
-		l, err := r.loadLog()
+// index returns the log's index, invoking the lazy loader on first use.
+func (r *Request) index() (*eventlog.Index, error) {
+	if r.Index == nil && r.loadIndex != nil {
+		x, err := r.loadIndex()
 		if err != nil {
 			return nil, err
 		}
-		r.Log = l
+		r.Index = x
 	}
-	return r.Log, nil
+	return r.Index, nil
 }
 
 // JobState enumerates a job's lifecycle.
@@ -275,8 +276,11 @@ type JobStats struct {
 	Failed    int64 `json:"failed"`
 	Cancelled int64 `json:"cancelled"`
 	Coalesced int64 `json:"coalesced"` // requests that joined an in-flight identical run
-	Running   int   `json:"running"`
-	Queued    int   `json:"queued"`
+	// Panicked counts jobs whose goroutine panicked; each of them is also
+	// counted as failed.
+	Panicked int64 `json:"panicked"`
+	Running  int   `json:"running"`
+	Queued   int   `json:"queued"`
 }
 
 // Stats is the /stats payload.
@@ -326,6 +330,7 @@ type Service struct {
 	failed       atomic.Int64
 	cancelled    atomic.Int64
 	coalesced    atomic.Int64
+	panicked     atomic.Int64
 	pipelineRuns atomic.Int64
 	active       sync.WaitGroup
 
@@ -547,6 +552,7 @@ func (s *Service) Stats() Stats {
 		Failed:    s.failed.Load(),
 		Cancelled: s.cancelled.Load(),
 		Coalesced: s.coalesced.Load(),
+		Panicked:  s.panicked.Load(),
 	}
 	if s.pipe != nil {
 		st.Pipeline = s.pipe.Stats()
@@ -569,11 +575,11 @@ func (s *Service) Stats() Stats {
 }
 
 func validate(req Request) error {
-	// A digest-bearing lazy request is valid without a parsed Log: the
+	// A digest-bearing lazy request is valid without a parsed Index: the
 	// wire-digest memo only learns uploads that passed this check parsed,
 	// so the lazy path cannot smuggle in an empty log.
-	lazy := req.Log == nil && req.digest != "" && req.loadLog != nil
-	if !lazy && (req.Log == nil || len(req.Log.Traces) == 0) {
+	lazy := req.Index == nil && req.digest != "" && req.loadIndex != nil
+	if !lazy && (req.Index == nil || req.Index.NumTraces() == 0) {
 		return fmt.Errorf("%w: empty log", ErrInvalidRequest)
 	}
 	if req.Constraints == nil {
@@ -662,8 +668,22 @@ func (s *Service) run(ctx context.Context, job *Job, req Request) {
 	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
 		cfg.Workers = s.opts.DefaultWorkers
 	}
-	res, err := s.solve(ctx, req, cfg)
+	res, err := s.solveRecovered(ctx, req, cfg)
 	s.finish(job, res, err)
+}
+
+// solveRecovered is solve with a panic turned into the job's error. A job
+// goroutine has no caller to recover for it, so a panic in the lazy parser
+// or the solver would otherwise take the whole process down.
+func (s *Service) solveRecovered(ctx context.Context, req Request, cfg core.Config) (res *JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panicked.Add(1)
+			fmt.Fprintf(os.Stderr, "service: job panicked: %v\n%s", p, debug.Stack())
+			res, err = nil, fmt.Errorf("service: job panicked: %v", p)
+		}
+	}()
+	return s.solve(ctx, req, cfg)
 }
 
 // solve runs the pipeline, reusing (or admitting) a live session for the
@@ -672,13 +692,17 @@ func (s *Service) run(ctx context.Context, job *Job, req Request) {
 // safe for cacheable and non-cacheable requests alike.
 func (s *Service) solve(ctx context.Context, req Request, cfg core.Config) (*JobResult, error) {
 	if s.sessions == nil {
-		log, err := req.log()
+		x, err := req.index()
 		if err != nil {
 			return nil, err
 		}
-		return core.RunContext(ctx, log, req.Constraints, cfg)
+		sess, err := core.NewSessionFromIndex(x)
+		if err != nil {
+			return nil, err
+		}
+		return sess.Solve(ctx, req.Constraints, cfg)
 	}
-	sess, err := s.sessions.getOrCreate(req.logDigest(), req.log)
+	sess, err := s.sessions.getOrCreate(req.logDigest(), req.index)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func roleRequest(t *testing.T) Request {
 		t.Fatal(err)
 	}
 	return Request{
-		Log:         procgen.RunningExampleTable1(),
+		Index:       eventlog.NewIndex(procgen.RunningExampleTable1()),
 		Constraints: set,
 		Config:      core.Config{Mode: core.DFGUnbounded},
 	}
@@ -37,7 +38,7 @@ func slowRequest(t *testing.T) Request {
 		t.Fatal(err)
 	}
 	return Request{
-		Log:         procgen.LoanLog(400, 17),
+		Index:       eventlog.NewIndex(procgen.LoanLog(400, 17)),
 		Constraints: set,
 		Config:      core.Config{Mode: core.Exhaustive},
 	}
@@ -528,5 +529,28 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 	}
 	if got.State != StateCancelled {
 		t.Fatalf("job state after Close = %s, want cancelled", got.State)
+	}
+}
+
+// TestJobPanicFailsJob: a panic in a job's goroutine — here the lazy index
+// loader, which runs there when the wire memo knows an upload's digest but
+// no session holds its log — fails that job and is counted, and the
+// service keeps serving.
+func TestJobPanicFailsJob(t *testing.T) {
+	for _, opts := range []Options{{}, {NoSessions: true}} {
+		svc := New(opts)
+		req := roleRequest(t)
+		req.Index, req.digest = nil, "digest of an upload whose loader panics"
+		req.loadIndex = func() (*eventlog.Index, error) { panic("loader bug") }
+		if _, _, err := svc.Do(context.Background(), req); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("NoSessions=%v: err = %v, want the job to fail with the panic", opts.NoSessions, err)
+		}
+		if st := svc.Stats().Jobs; st.Panicked != 1 || st.Failed != 1 {
+			t.Fatalf("NoSessions=%v: jobs = %+v, want 1 panicked and 1 failed", opts.NoSessions, st)
+		}
+		if _, _, err := svc.Do(context.Background(), roleRequest(t)); err != nil {
+			t.Fatalf("NoSessions=%v: service stopped serving after a panic: %v", opts.NoSessions, err)
+		}
+		svc.Close()
 	}
 }

@@ -22,8 +22,8 @@ type SessionStats struct {
 	// IndexBytes is the summed estimated heap footprint the live sessions
 	// pin: each session's columnar index (class arenas, attribute columns,
 	// dictionaries, bitsets) plus, for sessions that have served an
-	// infeasible solve, the lazily materialised log copy. Sessions release
-	// their parsed *Log at construction, so this is the whole per-log
+	// infeasible solve, the lazily materialised log copy. Uploads are
+	// parsed straight into their index, so this is the whole per-log
 	// retention, not an addition to it.
 	IndexBytes int64 `json:"indexBytes"`
 	// MappedBytes is the summed size of file-backed index mappings pinned by
@@ -50,7 +50,7 @@ type sessionEntry struct {
 // *under* the result cache: a result hit never reaches it, a result miss on
 // a known log reuses the session's frozen artifacts and warm distance memo.
 // Unlike the sharded result cache it is a single-segment LRU — entries are
-// few (each pins a parsed log, its index, and its memos) and lookups are
+// few (each pins a log's index and its memos) and lookups are
 // amortised by a full pipeline run, so exact LRU order beats shard-level
 // concurrency here.
 type sessionCache struct {
@@ -78,54 +78,14 @@ func newSessionCache(capacity int, store *diskStore) *sessionCache {
 	}
 }
 
-// getOrCreate returns the live session for the log digest, building and
-// caching it on first use. Concurrent callers for the same new digest share
-// one build. A build error is not cached: the entry is removed so the next
-// request retries. The log arrives as a loader, not a value: when the
-// session is live or its index warm-opens from the spill tier, the upload
-// is never parsed at all (see the wire-digest memo).
-func (c *sessionCache) getOrCreate(digest string, load func() (*eventlog.Log, error)) (*core.Session, error) {
-	return c.getOrCreateFrom(digest, func() (*core.Session, error) {
-		if c.store != nil {
-			if x, ok := c.store.openIndex(digest); ok {
-				if s, serr := core.NewSessionFromIndex(x); serr == nil {
-					return s, nil
-				}
-				x.Close()
-			}
-		}
-		log, err := load()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewSession(log)
-	})
-}
-
-// getOrCreateIndex is getOrCreate for callers that already hold a columnar
-// index (the pipeline engine's possibly-filtered working views, keyed by
-// their derivation chain): on a miss the session wraps the index directly —
-// after trying a warm-open of a previously spilled copy — so filtered logs
-// join the same LRU, spill tier, and coalescing as uploaded ones.
-func (c *sessionCache) getOrCreateIndex(key string, x *eventlog.Index) (*core.Session, error) {
-	return c.getOrCreateFrom(key, func() (*core.Session, error) {
-		if c.store != nil {
-			if fx, ok := c.store.openIndex(key); ok {
-				if s, serr := core.NewSessionFromIndex(fx); serr == nil {
-					return s, nil
-				}
-				fx.Close()
-			}
-		}
-		return core.NewSessionFromIndex(x)
-	})
-}
-
-// getOrCreateFrom returns the live session for the digest, building it via
-// mk on first use. Concurrent callers for the same new digest share one
-// build. A build error is not cached: the entry is removed so the next
-// request retries.
-func (c *sessionCache) getOrCreateFrom(digest string, mk func() (*core.Session, error)) (*core.Session, error) {
+// getOrCreate returns the live session for the key — an upload's log
+// digest, or a pipeline working view's chain key — building and caching it
+// on first use. Concurrent callers for the same new key share one build. A
+// build error is not cached: the entry is removed so the next request
+// retries. The index arrives as a loader, not a value: when the session is
+// live or its index warm-opens from the spill tier, the upload is never
+// parsed at all (see the wire-digest memo).
+func (c *sessionCache) getOrCreate(digest string, load func() (*eventlog.Index, error)) (*core.Session, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[digest]; ok {
 		c.order.MoveToFront(el)
@@ -148,7 +108,7 @@ func (c *sessionCache) getOrCreateFrom(digest string, mk func() (*core.Session, 
 	}
 	c.mu.Unlock()
 
-	return c.build(e, digest, mk)
+	return c.build(e, digest, load)
 }
 
 // spillLocked hands an evicted entry's index to the warm tier, so the next
@@ -163,20 +123,19 @@ func (c *sessionCache) spillLocked(e *sessionEntry) {
 	}
 }
 
-// build constructs the session for a fresh entry via mk and publishes the
-// outcome. The deferred publish runs even if mk panics (converting the
-// panic into an error for latecomers before it propagates), so a caller
-// that recovers — net/http handler recovery, say — cannot strand other
-// goroutines blocked on the entry's done channel. A failed build is removed
-// from the cache so the next request retries; the identity check guards
-// against the entry having been evicted and replaced meanwhile.
+// build constructs the session for a fresh entry and publishes the
+// outcome. The deferred publish runs even if the build panics (converting
+// the panic into an error for latecomers before it propagates), so a caller
+// that recovers — the job runner, or net/http's handler recovery — cannot
+// strand other goroutines blocked on the entry's done channel. A failed
+// build is removed from the cache so the next request retries; the identity
+// check guards against the entry having been evicted and replaced meanwhile.
 //
-// The mk closures passed by getOrCreate/getOrCreateIndex try the warm tier
-// first: a previously spilled index is opened from disk (mmap, no parse, no
-// build) and only the digest's first-ever build pays full price. A corrupt
-// or unreadable file falls back to the cold path — openIndex already
+// The warm tier is tried first: a previously spilled index is opened from
+// disk (mmap, no parse, no build) and only the key's first-ever build calls
+// load. A corrupt or unreadable file falls back to load — openIndex already
 // deleted it, so the fallback's eventual eviction re-spills a good copy.
-func (c *sessionCache) build(e *sessionEntry, digest string, mk func() (*core.Session, error)) (sess *core.Session, err error) {
+func (c *sessionCache) build(e *sessionEntry, digest string, load func() (*eventlog.Index, error)) (sess *core.Session, err error) {
 	defer func() {
 		if sess == nil && err == nil {
 			err = errors.New("service: session build panicked")
@@ -192,7 +151,19 @@ func (c *sessionCache) build(e *sessionEntry, digest string, mk func() (*core.Se
 		c.mu.Unlock()
 		close(e.done)
 	}()
-	return mk()
+	if c.store != nil {
+		if x, ok := c.store.openIndex(digest); ok {
+			if s, serr := core.NewSessionFromIndex(x); serr == nil {
+				return s, nil
+			}
+			x.Close()
+		}
+	}
+	x, err := load()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSessionFromIndex(x)
 }
 
 // peek returns the digest's live session when one exists, bumping recency,

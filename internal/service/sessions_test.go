@@ -29,8 +29,8 @@ func TestSessionReuseAcrossConstraintSets(t *testing.T) {
 	defer svc.Close()
 	log := procgen.RunningExampleTable1()
 
-	req1 := Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1"), Config: core.Config{Mode: core.DFGUnbounded}}
-	req2 := Request{Log: log, Constraints: mustSet(t, "distinct(role) <= 1\n|g| <= 2"), Config: core.Config{Mode: core.DFGUnbounded}}
+	req1 := Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1"), Config: core.Config{Mode: core.DFGUnbounded}}
+	req2 := Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, "distinct(role) <= 1\n|g| <= 2"), Config: core.Config{Mode: core.DFGUnbounded}}
 
 	res1, meta1, err := svc.Do(context.Background(), req1)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestSessionCacheEviction(t *testing.T) {
 
 	do := func(log *eventlog.Log, text string) {
 		t.Helper()
-		if _, _, err := svc.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, text), Config: cfg}); err != nil {
+		if _, _, err := svc.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, text), Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestSessionCacheConcurrentSameLog(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			req := Request{Log: log, Constraints: set, Config: core.Config{Mode: core.DFGUnbounded}}
+			req := Request{Index: eventlog.NewIndex(log), Constraints: set, Config: core.Config{Mode: core.DFGUnbounded}}
 			if _, _, err := svc.Do(context.Background(), req); err != nil {
 				t.Error(err)
 			}
@@ -209,7 +209,7 @@ func TestSessionMemoLimitRetiresSession(t *testing.T) {
 	log := procgen.RunningExampleTable1()
 	cfg := core.Config{Mode: core.DFGUnbounded}
 	for _, text := range []string{"distinct(role) <= 1", "|g| <= 3", "|g| <= 2"} {
-		if _, _, err := svc.Do(context.Background(), Request{Log: log, Constraints: mustSet(t, text), Config: cfg}); err != nil {
+		if _, _, err := svc.Do(context.Background(), Request{Index: eventlog.NewIndex(log), Constraints: mustSet(t, text), Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,8 +222,8 @@ func TestSessionMemoLimitRetiresSession(t *testing.T) {
 	}
 }
 
-// staticLog adapts an already-parsed log to getOrCreate's lazy-loader
+// staticLog adapts an already-built log to getOrCreate's lazy-loader
 // signature for tests that build their logs up front.
-func staticLog(log *eventlog.Log) func() (*eventlog.Log, error) {
-	return func() (*eventlog.Log, error) { return log, nil }
+func staticLog(log *eventlog.Log) func() (*eventlog.Index, error) {
+	return func() (*eventlog.Index, error) { return eventlog.NewIndex(log), nil }
 }

@@ -58,6 +58,7 @@ func MergeStats(a, b Stats) Stats {
 	out.Jobs.Failed = a.Jobs.Failed + b.Jobs.Failed
 	out.Jobs.Cancelled = a.Jobs.Cancelled + b.Jobs.Cancelled
 	out.Jobs.Coalesced = a.Jobs.Coalesced + b.Jobs.Coalesced
+	out.Jobs.Panicked = a.Jobs.Panicked + b.Jobs.Panicked
 	out.Jobs.Running = a.Jobs.Running + b.Jobs.Running
 	out.Jobs.Queued = a.Jobs.Queued + b.Jobs.Queued
 

@@ -14,7 +14,7 @@ func sampleStats() []Stats {
 		s.Cache = CacheStats{Hits: seed, Misses: seed + 1, Evictions: seed + 2, Entries: int(seed % 7), Capacity: 64}
 		s.Sessions = SessionStats{Hits: seed * 3, Misses: seed, Evictions: 1, Entries: 2, Capacity: 8, IndexBytes: seed * 1000, MappedBytes: seed * 10}
 		s.Streams = StreamStats{Live: 1, Capacity: 16, Created: seed, Closed: seed / 2, Evicted: 0, Traces: seed * 5, Regroupings: seed / 3, Drifts: 1}
-		s.Jobs = JobStats{Started: seed * 2, Completed: seed*2 - 1, Failed: 0, Cancelled: 1, Coalesced: seed / 4, Running: 1, Queued: int(seed % 3)}
+		s.Jobs = JobStats{Started: seed * 2, Completed: seed*2 - 1, Failed: 0, Cancelled: 1, Coalesced: seed / 4, Panicked: seed % 3, Running: 1, Queued: int(seed % 3)}
 		s.Pipeline = PipelineStats{
 			Runs: seed, Entries: 3, Capacity: 32, Evictions: seed / 5,
 			Stages: map[string]StageCounters{
@@ -113,5 +113,15 @@ func TestMergeStatsDoesNotAliasInputs(t *testing.T) {
 	out.Pipeline.Stages["abstract"] = StageCounters{Hits: -1}
 	if s[0].Pipeline.Stages["abstract"].Hits == -1 {
 		t.Error("merged Stages map aliases input map")
+	}
+}
+
+// TestMergeStatsSumsPanicked: the panic counter sums across shards like
+// every other job counter.
+func TestMergeStatsSumsPanicked(t *testing.T) {
+	s := sampleStats()
+	want := s[0].Jobs.Panicked + s[1].Jobs.Panicked
+	if got := MergeStats(s[0], s[1]).Jobs.Panicked; got != want || want == 0 {
+		t.Fatalf("merged panicked = %d, want %d (non-zero)", got, want)
 	}
 }

@@ -254,10 +254,13 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
 		cfg.Workers = s.opts.DefaultWorkers
 	}
-	req := Request{Log: window, Constraints: set, Config: cfg}
+	// Index the window once: its digest keys the result cache, and a miss
+	// without a live session solves on it.
+	x := eventlog.NewIndex(window)
+	digest := IndexDigest(x)
 	key := ""
 	if Cacheable(cfg) {
-		key = requestKey(req.logDigest(), set, cfg)
+		key = requestKey(digest, set, cfg)
 		if res, ok := s.cache.Get(key); ok {
 			return res, nil
 		}
@@ -269,15 +272,14 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 	}
 	defer func() { <-s.sem }()
 
-	var (
-		res *JobResult
-		err error
-	)
-	if sess, ok := s.peekSession(req.logDigest()); ok {
-		res, err = sess.Solve(ctx, set, cfg)
-	} else {
-		res, err = core.RunContext(ctx, window, set, cfg)
+	sess, ok := s.peekSession(digest)
+	if !ok {
+		var err error
+		if sess, err = core.NewSessionFromIndex(x); err != nil {
+			return nil, err
+		}
 	}
+	res, err := sess.Solve(ctx, set, cfg)
 	if err == nil && key != "" {
 		s.cache.Put(key, res)
 	}

@@ -1,51 +1,50 @@
 // Package xes reads and writes event logs in the IEEE XES XML format, the
-// interchange format of the public logs used in the paper's evaluation. Only
-// the log/trace/event structure and the standard attribute kinds (string,
-// int, float, date, boolean) are supported; extensions, globals and
-// classifiers are skipped on read and a minimal header is emitted on write.
-// The canonical event class is the concept:name attribute.
+// interchange format of the public logs used in the paper's evaluation.
+//
+// Reading is one pass over the document's bytes: a scanner made for the
+// subset below feeds an eventlog.Builder as it goes, so ReadIndex never
+// builds a *Log, and Read is ReadIndex followed by ReconstructLog. The
+// scanner accepts exactly what the encoding/xml struct decoder this package
+// used before accepted, with the same result. That decoder is kept in
+// oracle_test.go as the test oracle, and FuzzReadXES holds the two to each
+// other. The accepted subset:
+//
+//   - The root element is <log>, matched on its local name, so a prefixed
+//     or default-namespace root is accepted. Nothing after its end tag is
+//     read.
+//   - A <trace> child of the log and an <event> child of a trace are
+//     structure. Every other child element is an attribute: its element
+//     name (string, id, int, float, date, boolean; other kinds read as
+//     strings) types the value in its value attribute, and its key
+//     attribute names it. Log and trace children without a key, such as
+//     extension, global and classifier, are skipped, and so is an <event>
+//     directly under the log. The children of an attribute are ignored.
+//   - concept:name names the log and each trace and is each event's class;
+//     when it appears more than once, the last one wins. A trace without
+//     one is named t<i> after its position; an event without one is an
+//     error, as class-less events cannot take part in abstraction.
+//   - The document must be well formed as encoding/xml checks it: end tags
+//     match, attribute values are quoted with ' or ", references are the
+//     five predefined entities or decimal and hex character references, and
+//     the text is valid UTF-8 made of XML characters. In attribute values
+//     "\r\n" reads as "\n". DOCTYPE and other directives, comments,
+//     processing instructions and CDATA sections are skipped; an XML
+//     declaration may only name version 1.0 and UTF-8.
+//
+// Write emits a minimal header and one element per attribute, with keys and
+// values escaped for XML attribute values.
 package xes
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"gecco/internal/eventlog"
 )
-
-// attribute mirrors one XES attribute element of any kind.
-type attribute struct {
-	XMLName xml.Name
-	Key     string `xml:"key,attr"`
-	Value   string `xml:"value,attr"`
-}
-
-type xmlEvent struct {
-	Attrs []attribute `xml:",any"`
-}
-
-// xmlTrace captures a trace's events plus its attributes of every kind:
-// the named Events field takes the <event> children, the ",any" field all
-// remaining elements (string, int, float, date, boolean, id, ...).
-// Matching only "string" here used to silently drop every non-string
-// trace-level attribute.
-type xmlTrace struct {
-	Attrs  []attribute `xml:",any"`
-	Events []xmlEvent  `xml:"event"`
-}
-
-type xmlLog struct {
-	XMLName xml.Name `xml:"log"`
-	// Attrs likewise captures log-level attributes of every kind. It also
-	// receives non-attribute header elements (<extension>, <global>,
-	// <classifier>), which carry no key attribute and are skipped on read.
-	Attrs  []attribute `xml:",any"`
-	Traces []xmlTrace  `xml:"trace"`
-}
 
 // conceptName is the XES attribute carrying names of logs, traces & events.
 const conceptName = "concept:name"
@@ -56,189 +55,58 @@ const timeTimestamp = "time:timestamp"
 // lifecycleTransition is the XES attribute carrying lifecycle states.
 const lifecycleTransition = "lifecycle:transition"
 
-// Read parses an XES document into a Log. Events without a concept:name are
-// rejected, as class-less events cannot participate in abstraction.
+// Read parses an XES document into a Log.
 func Read(r io.Reader) (*eventlog.Log, error) {
-	var doc xmlLog
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xes: decode: %w", err)
+	x, err := ReadIndex(r)
+	if err != nil {
+		return nil, err
 	}
-	log := &eventlog.Log{}
-	for _, a := range doc.Attrs {
-		switch {
-		case a.Key == "":
-			// Header elements (extension, global, classifier) are not
-			// attributes; they are intentionally skipped.
-		case a.Key == conceptName:
-			log.Name = a.Value
-		default:
-			v, err := decodeValue(a)
-			if err != nil {
-				return nil, fmt.Errorf("xes: log attr %q: %w", a.Key, err)
-			}
-			log.SetAttr(a.Key, v)
-		}
-	}
-	for ti, t := range doc.Traces {
-		trace := eventlog.Trace{ID: fmt.Sprintf("t%d", ti)}
-		for _, a := range t.Attrs {
-			switch {
-			case a.Key == "":
-			case a.Key == conceptName:
-				trace.ID = a.Value
-			default:
-				v, err := decodeValue(a)
-				if err != nil {
-					return nil, fmt.Errorf("xes: trace %d attr %q: %w", ti, a.Key, err)
-				}
-				trace.SetAttr(a.Key, v)
-			}
-		}
-		for ei, e := range t.Events {
-			ev := eventlog.Event{}
-			for _, a := range e.Attrs {
-				v, err := decodeValue(a)
-				if err != nil {
-					return nil, fmt.Errorf("xes: trace %d event %d attr %q: %w", ti, ei, a.Key, err)
-				}
-				switch a.Key {
-				case conceptName:
-					ev.Class = v.Str
-				case timeTimestamp:
-					ev.SetAttr(eventlog.AttrTimestamp, v)
-				case lifecycleTransition:
-					ev.SetAttr(eventlog.AttrLifecycle, v)
-				default:
-					ev.SetAttr(a.Key, v)
-				}
-			}
-			if ev.Class == "" {
-				return nil, fmt.Errorf("xes: trace %d event %d: missing %s", ti, ei, conceptName)
-			}
-			trace.Events = append(trace.Events, ev)
-		}
-		log.Traces = append(log.Traces, trace)
-	}
-	return log, nil
+	return x.ReconstructLog(), nil
 }
 
-// ReadIndex parses an XES document straight into a columnar eventlog.Index,
-// feeding an eventlog.Builder event by event instead of materialising a
-// *Log first. The result is identical to eventlog.NewIndex(Read(r)) — same
-// class universe, arena, attribute columns, and reconstruction — for the
-// cost of one allocation pass less. Use it when the caller only needs the
-// index (e.g. building a core.Session); Read remains the entry point when
-// the Log itself is required.
+// ReadIndex parses an XES document straight into a columnar eventlog.Index:
+// the scanner feeds an eventlog.Builder event by event and no *Log is
+// built. Use it when the caller only needs the index (a core.Session, the
+// serving layer); Read is the entry point when the Log itself is required.
 func ReadIndex(r io.Reader) (*eventlog.Index, error) {
-	var doc xmlLog
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xes: decode: %w", err)
+	src, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xes: read: %w", err)
 	}
-	b := eventlog.NewBuilder()
-	for _, a := range doc.Attrs {
-		switch {
-		case a.Key == "":
-			// Header elements (extension, global, classifier) are skipped.
-		case a.Key == conceptName:
-			b.SetName(a.Value)
-		default:
-			v, err := decodeValue(a)
-			if err != nil {
-				return nil, fmt.Errorf("xes: log attr %q: %w", a.Key, err)
-			}
-			b.SetLogAttr(a.Key, v)
-		}
-	}
-	for ti, t := range doc.Traces {
-		// The trace id must be known before StartTrace; scan for the last
-		// concept:name first (matching Read's last-write-wins map semantics).
-		id := fmt.Sprintf("t%d", ti)
-		for _, a := range t.Attrs {
-			if a.Key == conceptName {
-				id = a.Value
-			}
-		}
-		b.StartTrace(id)
-		for _, a := range t.Attrs {
-			if a.Key == "" || a.Key == conceptName {
-				continue
-			}
-			v, err := decodeValue(a)
-			if err != nil {
-				return nil, fmt.Errorf("xes: trace %d attr %q: %w", ti, a.Key, err)
-			}
-			b.SetTraceAttr(a.Key, v)
-		}
-		for ei, e := range t.Events {
-			class := ""
-			for _, a := range e.Attrs {
-				if a.Key == conceptName {
-					v, err := decodeValue(a)
-					if err != nil {
-						return nil, fmt.Errorf("xes: trace %d event %d attr %q: %w", ti, ei, a.Key, err)
-					}
-					class = v.Str
-				}
-			}
-			if class == "" {
-				return nil, fmt.Errorf("xes: trace %d event %d: missing %s", ti, ei, conceptName)
-			}
-			b.AddEvent(class)
-			for _, a := range e.Attrs {
-				if a.Key == conceptName {
-					continue
-				}
-				v, err := decodeValue(a)
-				if err != nil {
-					return nil, fmt.Errorf("xes: trace %d event %d attr %q: %w", ti, ei, a.Key, err)
-				}
-				switch a.Key {
-				case timeTimestamp:
-					b.SetEventAttr(eventlog.AttrTimestamp, v)
-				case lifecycleTransition:
-					b.SetEventAttr(eventlog.AttrLifecycle, v)
-				default:
-					b.SetEventAttr(a.Key, v)
-				}
-			}
-		}
-	}
-	return b.Build(), nil
+	return scan(src)
 }
 
-func decodeValue(a attribute) (eventlog.Value, error) {
-	switch a.XMLName.Local {
-	case "string", "id":
-		return eventlog.String(a.Value), nil
+// decodeValue types an attribute's value by its element name, the XES
+// attribute kind. Kinds other than int, float, date and boolean (string,
+// id, and containers such as list) keep the value as a string.
+func decodeValue(kind, value string) (eventlog.Value, error) {
+	switch kind {
 	case "int":
-		i, err := strconv.ParseInt(a.Value, 10, 64)
+		i, err := strconv.ParseInt(value, 10, 64)
 		if err != nil {
 			return eventlog.Value{}, err
 		}
 		return eventlog.Int(i), nil
 	case "float":
-		f, err := strconv.ParseFloat(a.Value, 64)
+		f, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			return eventlog.Value{}, err
 		}
 		return eventlog.Float(f), nil
 	case "date":
-		t, err := parseXESTime(a.Value)
+		t, err := parseXESTime(value)
 		if err != nil {
 			return eventlog.Value{}, err
 		}
 		return eventlog.Time(t), nil
 	case "boolean":
-		b, err := strconv.ParseBool(a.Value)
+		b, err := strconv.ParseBool(value)
 		if err != nil {
 			return eventlog.Value{}, err
 		}
 		return eventlog.Bool(b), nil
 	}
-	// Unknown kinds (lists, containers) are preserved as strings.
-	return eventlog.String(a.Value), nil
+	return eventlog.String(value), nil
 }
 
 func parseXESTime(s string) (time.Time, error) {
@@ -250,75 +118,159 @@ func parseXESTime(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("unrecognised timestamp %q", s)
 }
 
+// writeChunk is the number of bytes Write buffers before passing them on.
+const writeChunk = 32 << 10
+
 // Write serialises the log as an XES document.
 func Write(w io.Writer, log *eventlog.Log) error {
-	bw := &errWriter{w: w}
-	bw.printf("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n")
-	bw.printf("<log xes.version=\"1.0\" xes.features=\"\">\n")
-	bw.printf("  <string key=\"concept:name\" value=%q/>\n", log.Name)
-	for _, k := range sortedAttrKeys(log.Attrs) {
-		writeAttr(bw, "  ", k, log.Attrs[k])
-	}
+	x := &writer{w: w, buf: make([]byte, 0, writeChunk+4<<10)}
+	x.buf = append(x.buf, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<log xes.version=\"1.0\" xes.features=\"\">\n"...)
+	x.attrs("  ", log.Name, log.Attrs)
 	for i := range log.Traces {
 		tr := &log.Traces[i]
-		bw.printf("  <trace>\n    <string key=\"concept:name\" value=%q/>\n", tr.ID)
-		for _, k := range sortedAttrKeys(tr.Attrs) {
-			writeAttr(bw, "    ", k, tr.Attrs[k])
-		}
+		x.buf = append(x.buf, "  <trace>\n"...)
+		x.attrs("    ", tr.ID, tr.Attrs)
 		for j := range tr.Events {
 			ev := &tr.Events[j]
-			bw.printf("    <event>\n")
-			bw.printf("      <string key=\"concept:name\" value=%q/>\n", ev.Class)
-			for _, k := range sortedAttrKeys(ev.Attrs) {
-				writeAttr(bw, "      ", k, ev.Attrs[k])
+			x.buf = append(x.buf, "    <event>\n"...)
+			x.attrs("      ", ev.Class, ev.Attrs)
+			x.buf = append(x.buf, "    </event>\n"...)
+			if len(x.buf) >= writeChunk {
+				x.flush()
 			}
-			bw.printf("    </event>\n")
 		}
-		bw.printf("  </trace>\n")
+		x.buf = append(x.buf, "  </trace>\n"...)
 	}
-	bw.printf("</log>\n")
-	return bw.err
+	x.buf = append(x.buf, "</log>\n"...)
+	x.flush()
+	return x.err
 }
 
-func writeAttr(bw *errWriter, indent, key string, v eventlog.Value) {
-	xkey := key
-	switch key {
-	case eventlog.AttrTimestamp:
-		xkey = timeTimestamp
-	case eventlog.AttrLifecycle:
-		xkey = lifecycleTransition
+// writer appends the document to buf and hands it to w in chunks; the
+// first write error ends the output.
+type writer struct {
+	w    io.Writer
+	buf  []byte
+	keys []string
+	err  error
+}
+
+func (x *writer) flush() {
+	if x.err == nil {
+		_, x.err = x.w.Write(x.buf)
 	}
+	x.buf = x.buf[:0]
+}
+
+// attrs writes the concept:name attribute carrying name, then the
+// attributes in key order.
+func (x *writer) attrs(indent, name string, attrs map[string]eventlog.Value) {
+	x.attr(indent, conceptName, eventlog.String(name))
+	x.keys = sortedKeys(x.keys, attrs)
+	for _, k := range x.keys {
+		x.attr(indent, k, attrs[k])
+	}
+}
+
+// attr writes one attribute element. A value of no kind is not written.
+func (x *writer) attr(indent, key string, v eventlog.Value) {
+	var kind string
 	switch v.Kind {
 	case eventlog.KindString:
-		bw.printf("%s<string key=%q value=%q/>\n", indent, xkey, v.Str)
+		kind = "string"
 	case eventlog.KindInt:
-		bw.printf("%s<int key=%q value=\"%d\"/>\n", indent, xkey, int64(v.Num))
+		kind = "int"
 	case eventlog.KindFloat:
-		bw.printf("%s<float key=%q value=\"%g\"/>\n", indent, xkey, v.Num)
+		kind = "float"
 	case eventlog.KindTime:
-		bw.printf("%s<date key=%q value=%q/>\n", indent, xkey, v.Time.Format(time.RFC3339Nano))
+		kind = "date"
 	case eventlog.KindBool:
-		bw.printf("%s<boolean key=%q value=\"%t\"/>\n", indent, xkey, v.Bool)
-	}
-}
-
-func sortedAttrKeys(m map[string]eventlog.Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
+		kind = "boolean"
+	default:
 		return
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	switch key {
+	case eventlog.AttrTimestamp:
+		key = timeTimestamp
+	case eventlog.AttrLifecycle:
+		key = lifecycleTransition
+	}
+	b := append(x.buf, indent...)
+	b = append(b, '<')
+	b = append(b, kind...)
+	b = append(b, ` key="`...)
+	b = appendEscaped(b, key)
+	b = append(b, `" value="`...)
+	switch v.Kind {
+	case eventlog.KindString:
+		b = appendEscaped(b, v.Str)
+	case eventlog.KindInt:
+		b = strconv.AppendInt(b, int64(v.Num), 10)
+	case eventlog.KindFloat:
+		b = strconv.AppendFloat(b, v.Num, 'g', -1, 64)
+	case eventlog.KindTime:
+		b = v.Time.AppendFormat(b, time.RFC3339Nano)
+	case eventlog.KindBool:
+		b = strconv.AppendBool(b, v.Bool)
+	}
+	x.buf = append(b, "\"/>\n"...)
+}
+
+// appendEscaped appends s escaped for a double-quoted XML attribute value:
+// the markup characters & < > " as entities, and tab, newline and carriage
+// return as character references, so that they survive attribute-value
+// normalisation. Other control characters, and bytes that are not UTF-8,
+// cannot appear in an XML 1.0 document at all, even as references; they are
+// written as utf8.RuneError. Any other text is copied as is.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '&' && c != '<' && c != '>' && c != '"' {
+			i++
+			continue
+		}
+		esc, width := "", 1
+		switch c {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if c >= utf8.RuneSelf {
+				r, n := utf8.DecodeRuneInString(s[i:])
+				if (r != utf8.RuneError || n > 1) && isXMLChar(r) {
+					i += n
+					continue
+				}
+				width = n
+			}
+			esc = string(utf8.RuneError)
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		i += width
+		start = i
+	}
+	return append(dst, s[start:]...)
+}
+
+// sortedKeys returns the keys of m in order, reusing dst's storage.
+func sortedKeys(dst []string, m map[string]eventlog.Value) []string {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, k)
+	}
+	sort.Strings(dst)
+	return dst
 }

@@ -2,6 +2,8 @@ package xes
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,12 @@ func TestReadRejectsClasslessEvent(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	orig := procgen.RunningExampleTable1()
+	// Keys, values and IDs that XML must escape, which quoting with %q
+	// used to corrupt: each must read back exactly.
+	for i, s := range []string{"R&D", "x<y", `say "hi"`, `a\b`, "tab\there"} {
+		orig.Traces[0].Events[i].SetAttr("k "+s, eventlog.String(s))
+		orig.Traces[i%len(orig.Traces)].ID += " " + s
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -88,6 +96,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for i := range orig.Traces {
 		ot, bt := &orig.Traces[i], &back.Traces[i]
+		if ot.ID != bt.ID {
+			t.Fatalf("trace %d ID %q != %q", i, bt.ID, ot.ID)
+		}
 		if ot.Variant() != bt.Variant() {
 			t.Fatalf("trace %d variant mismatch: %q vs %q", i, ot.Variant(), bt.Variant())
 		}
@@ -103,6 +114,9 @@ func TestRoundTrip(t *testing.T) {
 				}
 				if ov.Kind != bv.Kind {
 					t.Fatalf("attr %q kind %v != %v", k, bv.Kind, ov.Kind)
+				}
+				if ov.Kind == eventlog.KindString && ov.Str != bv.Str {
+					t.Fatalf("attr %q value %q != %q", k, bv.Str, ov.Str)
 				}
 				if ov.Kind == eventlog.KindTime && !ov.Time.Equal(bv.Time) {
 					t.Fatalf("attr %q time %v != %v", k, bv.Time, ov.Time)
@@ -272,4 +286,76 @@ func TestReadIndexRejectsClasslessEvent(t *testing.T) {
 	if _, err := ReadIndex(strings.NewReader(doc)); err == nil {
 		t.Fatal("expected missing concept:name error")
 	}
+}
+
+// TestWriteMatchesOldWriter pins Write byte for byte to the fmt-based writer
+// it replaced, on logs whose values need no escaping, including the float
+// formats %g prints specially.
+func TestWriteMatchesOldWriter(t *testing.T) {
+	sample, err := Read(strings.NewReader(sampleXES))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := &eventlog.Log{Name: "floats", Traces: []eventlog.Trace{{ID: "f"}}}
+	for i, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e21, 1e-7, math.Copysign(0, -1), 123456789.125, 3} {
+		ev := eventlog.Event{Class: "a"}
+		ev.SetAttr("f", eventlog.Float(f))
+		ev.SetAttr("i", eventlog.Int(int64(i)-4))
+		ev.SetAttr("b", eventlog.Bool(i%2 == 0))
+		floats.Traces[0].Events = append(floats.Traces[0].Events, ev)
+	}
+	for _, log := range []*eventlog.Log{sample, floats, procgen.RunningExampleTable1(), procgen.LoanLog(40, 3)} {
+		var b bytes.Buffer
+		if err := Write(&b, log); err != nil {
+			t.Fatal(err)
+		}
+		if want := writeOracle(log); b.String() != want {
+			t.Fatalf("%s: Write differs from the old writer:\n%s\nwant\n%s", log.Name, b.String(), want)
+		}
+	}
+}
+
+// BenchmarkRead reads a 50-trace loan log with the scanner (ReadIndex and
+// Read) and with the encoding/xml oracle it replaced.
+func BenchmarkRead(b *testing.B) {
+	var doc bytes.Buffer
+	if err := Write(&doc, procgen.LoanLog(50, 1)); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"ReadIndex", func(r io.Reader) error { _, err := ReadIndex(r); return err }},
+		{"Read", func(r io.Reader) error { _, err := Read(r); return err }},
+		{"Oracle", func(r io.Reader) error { _, err := ReadOracle(r); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(doc.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.read(bytes.NewReader(doc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWrite writes a 50-trace loan log with Write and with the
+// fmt-based writer it replaced.
+func BenchmarkWrite(b *testing.B) {
+	log := procgen.LoanLog(50, 1)
+	b.Run("Write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := Write(io.Discard, log); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = writeOracle(log)
+		}
+	})
 }

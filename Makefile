@@ -65,11 +65,13 @@ fmt-check:
 	fi
 
 # Differential fuzzing, a fixed time per target. FuzzReadXES holds the XES
-# scanner to the encoding/xml decoder it replaced; its seed corpus lives in
-# internal/xes/testdata/fuzz. A short minimisation budget keeps a large new
-# input from stalling the run.
+# scanner to the encoding/xml decoder it replaced, and FuzzDecodeEnvelope
+# the JSON envelope decoder to json.Unmarshal; their seed corpora live in
+# each package's testdata/fuzz. A short minimisation budget keeps a large
+# new input from stalling the run.
 fuzz:
 	$(GO) test ./internal/xes -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s -fuzzminimizetime 2s
 
 # bench/ is a module of its own, so `go test ./...` never builds it: vet and
 # test it on its own, offline, to catch changes to the packages it calls.

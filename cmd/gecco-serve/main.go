@@ -116,10 +116,7 @@ func main() {
 			o.JobIDPrefix = fmt.Sprintf("s%d-", i)
 			svc := service.New(o)
 			svcs = append(svcs, svc)
-			servers = append(servers, &http.Server{
-				Addr:    fmt.Sprintf("127.0.0.1:%d", basePort+1+i),
-				Handler: service.Handler(svc),
-			})
+			servers = append(servers, newServer(fmt.Sprintf("127.0.0.1:%d", basePort+1+i), service.Handler(svc)))
 		}
 		coord, err := service.NewRouter(nil, service.ShardOptions{
 			Peers: peerURLs, MemberIDs: memberIDs, Self: -1,
@@ -128,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gecco-serve:", err)
 			os.Exit(1)
 		}
-		servers = append(servers, &http.Server{Addr: *addr, Handler: coord})
+		servers = append(servers, newServer(*addr, coord))
 		fmt.Printf("gecco-serve coordinator on %s fronting %d shards (ports %d-%d)\n",
 			*addr, *shards, basePort+1, basePort+*shards)
 
@@ -157,13 +154,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gecco-serve:", err)
 			os.Exit(1)
 		}
-		servers = append(servers, &http.Server{Addr: *addr, Handler: router})
+		servers = append(servers, newServer(*addr, router))
 		fmt.Printf("gecco-serve shard %d/%d on %s (advertised %s)\n", self, len(list), *addr, *advertise)
 
 	default:
 		svc := service.New(opts)
 		svcs = append(svcs, svc)
-		servers = append(servers, &http.Server{Addr: *addr, Handler: service.Handler(svc)})
+		servers = append(servers, newServer(*addr, service.Handler(svc)))
 		fmt.Printf("gecco-serve listening on %s (max-jobs=%d cache-size=%d max-streams=%d)\n", *addr, *maxJobs, *cacheSize, *streams)
 	}
 	if *dataDir != "" {
@@ -203,6 +200,28 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gecco-serve:", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// Connection timeouts. A client must finish sending its request line and
+// headers within readHeaderTimeout, and a kept-alive connection is closed
+// after idleTimeout without a request; without them a client can hold a
+// connection, and its goroutine, forever. ReadTimeout and WriteTimeout stay
+// unset: they bound the whole request body and response, and a /stream
+// request body is unbounded by design — it stays open for as long as the
+// client has traces to send.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the one way gecco-serve builds a listener's http.Server.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -1,11 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,9 +21,6 @@ import (
 	"gecco/internal/instances"
 	"gecco/internal/xes"
 )
-
-// maxBodyBytes caps uploaded log size (64 MiB).
-const maxBodyBytes = 64 << 20
 
 // AbstractRequest is the JSON envelope accepted by POST /abstract. Raw XES
 // or CSV bodies are also accepted (see Handler), with the remaining fields
@@ -177,16 +174,16 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, ErrBusy)
 		return
 	}
-	env, err := decodeAbstractRequest(r)
+	env, text, err := decodeAbstractRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(env.ConstraintSets) > 0 {
-		handleBatch(s, w, r, env)
+		handleBatch(s, w, r, env, text)
 		return
 	}
-	req, format, err := buildRequest(s, env)
+	req, format, err := buildRequest(s, env, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -255,7 +252,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 // live session the first solve admitted, skipping re-indexing and starting
 // with a warm distance memo. Per-set failures are reported in place; they
 // do not abort the rest of the batch.
-func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *AbstractRequest) {
+func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *AbstractRequest, text *logText) {
 	if env.Async {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch requests cannot be async; poll per-set jobs individually instead"))
 		return
@@ -264,7 +261,7 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *Abstra
 		writeError(w, http.StatusBadRequest, fmt.Errorf("use either constraints or constraintSets, not both"))
 		return
 	}
-	base, format, err := buildRequest(s, env)
+	base, format, err := buildRequest(s, env, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -276,8 +273,8 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *Abstra
 	// Parse every set up front: a malformed set is the client's mistake and
 	// fails the whole batch with 400 before any pipeline run is paid for.
 	sets := make([]*constraints.Set, len(env.ConstraintSets))
-	for i, text := range env.ConstraintSets {
-		set, err := constraints.ParseSet(text)
+	for i, src := range env.ConstraintSets {
+		set, err := constraints.ParseSet(src)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("constraint set %d: %w", i+1, err))
 			return
@@ -378,27 +375,21 @@ func writeJobSnapshot(w http.ResponseWriter, snap JobSnapshot, formatOverride st
 }
 
 // decodeAbstractRequest accepts either the JSON envelope or a raw XES/CSV
-// body with query-parameter settings (curl-friendly).
-func decodeAbstractRequest(r *http.Request) (*AbstractRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+// body with query-parameter settings (curl-friendly). The log comes back
+// as a logText; the envelope's Log field is left empty.
+func decodeAbstractRequest(r *http.Request) (*AbstractRequest, *logText, error) {
+	body, err := readBody(r)
 	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		return nil, nil, err
 	}
-	if len(body) > maxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
-	}
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/json") {
+	if isEnvelope(r) {
 		env := &AbstractRequest{}
-		if err := json.Unmarshal(body, env); err != nil {
-			return nil, fmt.Errorf("decoding JSON envelope: %w", err)
-		}
-		return env, nil
+		text, err := decodeEnvelope(body, env, &env.Log)
+		return env, text, err
 	}
 	q := r.URL.Query()
 	env := &AbstractRequest{
 		Format:          q.Get("format"),
-		Log:             string(body),
 		Constraints:     q.Get("constraints"),
 		Mode:            q.Get("mode"),
 		Strategy:        q.Get("strategy"),
@@ -427,11 +418,11 @@ func decodeAbstractRequest(r *http.Request) (*AbstractRequest, error) {
 		}
 		n, err := strconv.Atoi(raw)
 		if err != nil {
-			return nil, fmt.Errorf("query parameter %s=%q is not an integer", p.name, raw)
+			return nil, nil, fmt.Errorf("query parameter %s=%q is not an integer", p.name, raw)
 		}
 		*p.dst = n
 	}
-	return env, nil
+	return env, plainText(body), nil
 }
 
 // buildRequest parses the envelope into a service request plus the format
@@ -442,17 +433,10 @@ func decodeAbstractRequest(r *http.Request) (*AbstractRequest, error) {
 // re-reads the XES/CSV at all. Parse errors on that path are impossible
 // by construction: the memo is only populated after a successful parse,
 // and parsing is deterministic.
-func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
-	format := strings.ToLower(env.Format)
-	if format == "" {
-		if strings.HasPrefix(strings.TrimSpace(env.Log), "<") {
-			format = "xes"
-		} else {
-			format = "csv"
-		}
-	}
-	if format != "xes" && format != "csv" {
-		return Request{}, "", fmt.Errorf("unknown format %q (want xes or csv)", env.Format)
+func buildRequest(s *Service, env *AbstractRequest, text *logText) (Request, string, error) {
+	format, err := uploadFormat(env.Format, text)
+	if err != nil {
+		return Request{}, "", err
 	}
 	// One parse-once loader shared by every per-set copy of a batch
 	// request: whichever copy needs the events first pays the parse, the
@@ -462,10 +446,9 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 		parsed    *eventlog.Index
 		parseErr  error
 	)
-	text := env.Log
 	load := func() (*eventlog.Index, error) {
 		//lint:gecco-allow(oncesafe): a fresh Once per request is the point — every per-set copy of this one request shares the closure (and so this Once); single-flight across requests is the wire memo's job, not this loader's
-		parseOnce.Do(func() { parsed, parseErr = parseUpload(format, text) })
+		parseOnce.Do(func() { parsed, parseErr = parseUpload(format, text.bytes()) })
 		return parsed, parseErr
 	}
 	set, err := constraints.ParseSet(env.Constraints)
@@ -508,7 +491,7 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 		return Request{}, "", fmt.Errorf("unknown solver %q (want bb or mip)", env.Solver)
 	}
 	req := Request{Constraints: set, Config: cfg, Tag: format, loadIndex: load}
-	wk := wireKey(format, text)
+	wk := wireID{format: format, sum: text.digest()}
 	if d, ok := s.wire.get(wk); ok {
 		req.digest = d
 		return req, format, nil
@@ -528,15 +511,15 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 
 // parseUpload parses an uploaded log of the given wire format straight
 // into its columnar index; no *Log is built on the serving path.
-func parseUpload(format, text string) (*eventlog.Index, error) {
+func parseUpload(format string, text []byte) (*eventlog.Index, error) {
 	var (
 		x   *eventlog.Index
 		err error
 	)
 	if format == "xes" {
-		x, err = xes.ReadIndex(strings.NewReader(text))
+		x, err = xes.ReadIndexBytes(text)
 	} else {
-		x, err = csvlog.ReadIndex(strings.NewReader(text), csvlog.Options{})
+		x, err = csvlog.ReadIndex(bytes.NewReader(text), csvlog.Options{})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("parsing %s log: %w", format, err)

@@ -7,10 +7,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -109,12 +107,12 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, ErrBusy)
 		return
 	}
-	env, err := decodePipelineRequest(r)
+	env, text, err := decodePipelineRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, format, err := buildPipelineRequest(env)
+	req, format, err := buildPipelineRequest(env, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -151,51 +149,38 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 
 // decodePipelineRequest accepts either the JSON envelope or a raw XES/CSV
 // body with the stage list in the stages query parameter (curl-friendly).
-func decodePipelineRequest(r *http.Request) (*PipelineHTTPRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+// The log comes back as a logText; the envelope's Log field is left empty.
+func decodePipelineRequest(r *http.Request) (*PipelineHTTPRequest, *logText, error) {
+	body, err := readBody(r)
 	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		return nil, nil, err
 	}
-	if len(body) > maxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
-	}
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/json") {
+	if isEnvelope(r) {
 		env := &PipelineHTTPRequest{}
-		if err := json.Unmarshal(body, env); err != nil {
-			return nil, fmt.Errorf("decoding JSON envelope: %w", err)
-		}
-		return env, nil
+		text, err := decodeEnvelope(body, env, &env.Log)
+		return env, text, err
 	}
 	q := r.URL.Query()
 	specs, err := pipeline.ParseSpecs(q.Get("stages"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return &PipelineHTTPRequest{
 		Format:            q.Get("format"),
-		Log:               string(body),
 		Constraints:       q.Get("constraints"),
 		Stages:            specs,
 		IncludeAbstracted: q.Get("includeAbstracted") == "true",
-	}, nil
+	}, plainText(body), nil
 }
 
 // buildPipelineRequest parses the envelope into a service pipeline request
 // plus the format to serialise any returned log in.
-func buildPipelineRequest(env *PipelineHTTPRequest) (PipelineRequest, string, error) {
-	format := strings.ToLower(env.Format)
-	if format == "" {
-		if strings.HasPrefix(strings.TrimSpace(env.Log), "<") {
-			format = "xes"
-		} else {
-			format = "csv"
-		}
+func buildPipelineRequest(env *PipelineHTTPRequest, text *logText) (PipelineRequest, string, error) {
+	format, err := uploadFormat(env.Format, text)
+	if err != nil {
+		return PipelineRequest{}, "", err
 	}
-	if format != "xes" && format != "csv" {
-		return PipelineRequest{}, "", fmt.Errorf("unknown format %q (want xes or csv)", env.Format)
-	}
-	x, err := parseUpload(format, env.Log)
+	x, err := parseUpload(format, text.bytes())
 	if err != nil {
 		return PipelineRequest{}, "", err
 	}

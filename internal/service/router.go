@@ -15,6 +15,10 @@ import (
 	"gecco/internal/shard"
 )
 
+// maxStatsBytes caps a peer's /stats answer. A real one is a few KB; a
+// peer sending more is misbehaving and must not hold the router's memory.
+const maxStatsBytes = 1 << 20
+
 // ForwardHeader marks a request as already routed. A shard that receives it
 // serves locally unconditionally — two routers with momentarily divergent
 // down-lists must not bounce a request between each other.
@@ -179,7 +183,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/stream/"):
 		name := strings.TrimPrefix(path, "/stream/")
 		name = strings.TrimSuffix(name, "/close")
-		rt.route(w, r, "stream:"+name, nil)
+		rt.route(w, r, shard.Hash("stream:"+name), nil)
 	case strings.HasPrefix(path, "/jobs/"):
 		rt.routeJob(w, r)
 	default:
@@ -191,32 +195,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // same text every per-log artifact (session, index, memo, result cache
 // entry) is digested by, so the owner of the key owns the artifacts. The
 // body must be read up front to extract the key; it is replayed into the
-// local handler or the forwarded request.
+// local handler or the forwarded request. The key is the SHA-256 of the log
+// text, so a JSON envelope and the raw body of the same log land on the
+// same shard; the upload path computes the same hash for the wire memo.
 func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	body, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
-		return
-	}
-	key := string(body)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		// Decode only the log field: the routing key must match the raw-body
-		// form of the same log, so identical logs land on the same shard
-		// regardless of which envelope the client used.
+	var text *logText
+	if isEnvelope(r) {
 		var env struct {
 			Log string `json:"log"`
 		}
-		if err := json.Unmarshal(body, &env); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding JSON envelope: %w", err))
+		if text, err = decodeEnvelope(body, &env, &env.Log); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		key = env.Log
+	} else {
+		text = plainText(body)
 	}
-	rt.route(w, r, key, body)
+	rt.route(w, r, shard.HashSum(text.digest()), body)
 }
 
 // routeJob routes job polls and cancels by the shard prefix baked into the
@@ -247,8 +247,7 @@ func (rt *Router) routeStreamPost(w http.ResponseWriter, r *http.Request) {
 		rt.serveLocal(w, r, nil)
 		return
 	}
-	key := "stream:" + name
-	for _, member := range rt.candidates(key) {
+	for _, member := range rt.candidates(shard.Hash("stream:" + name)) {
 		if member == rt.selfID && rt.svc != nil {
 			rt.serveLocal(w, r, nil)
 			return
@@ -266,11 +265,11 @@ func (rt *Router) routeStreamPost(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusBadGateway, fmt.Errorf("no reachable shard for stream %q", name))
 }
 
-// route serves the key's owner: locally when this node owns it, else by
-// forwarding down the key's preference order. body replaces the consumed
-// request body (nil when it was not read).
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	for _, member := range rt.candidates(key) {
+// route serves the owner of the key at ring position h: locally when this
+// node owns it, else by forwarding down the key's preference order. body
+// replaces the consumed request body (nil when it was not read).
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, h uint64, body []byte) {
+	for _, member := range rt.candidates(h) {
 		if member == rt.selfID && rt.svc != nil {
 			rt.serveLocal(w, r, body)
 			return
@@ -302,12 +301,12 @@ func (rt *Router) routeToMember(w http.ResponseWriter, r *http.Request, member s
 	writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable", member))
 }
 
-// candidates returns the key's preference order with benched peers moved to
-// the back: the healthy successor is tried first, exactly as if the ring had
-// healed without the down members, but a fully-benched ring still tries
-// everyone rather than failing outright.
-func (rt *Router) candidates(key string) []string {
-	seq := rt.ring.Sequence(key)
+// candidates returns the preference order of the key at ring position h
+// with benched peers moved to the back: the healthy successor is tried
+// first, exactly as if the ring had healed without the down members, but a
+// fully-benched ring still tries everyone rather than failing outright.
+func (rt *Router) candidates(h uint64) []string {
+	seq := rt.ring.SequenceHash(h)
 	now := time.Now()
 	up := make([]string, 0, len(seq))
 	var benched []string
@@ -550,8 +549,12 @@ func (rt *Router) fetchStats(r *http.Request, member string) (Stats, error) {
 	if resp.StatusCode != http.StatusOK {
 		return Stats{}, fmt.Errorf("shard %s: /stats returned %d", member, resp.StatusCode)
 	}
+	body, err := readCapped(resp.Body, resp.ContentLength, maxStatsBytes)
+	if err != nil {
+		return Stats{}, fmt.Errorf("shard %s: /stats: %w", member, err)
+	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		return Stats{}, fmt.Errorf("shard %s: decoding stats: %w", member, err)
 	}
 	return st, nil

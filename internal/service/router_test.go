@@ -579,3 +579,85 @@ func TestRouterCoordinator(t *testing.T) {
 		t.Fatalf("merged jobs.started = %d, want 1", cs.Jobs.Started)
 	}
 }
+
+// TestRouterStatsCapped: a peer whose /stats answer is larger than
+// maxStatsBytes is listed as unreachable and left out of the cluster
+// totals, while the same counters under the cap merge.
+func TestRouterStatsCapped(t *testing.T) {
+	svc := New(Options{})
+	t.Cleanup(svc.Close)
+	peer, err := json.Marshal(Stats{Jobs: JobStats{Started: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		pad     int
+		dropped bool
+	}{{"under the cap", 1000, false}, {"over the cap", maxStatsBytes, true}} {
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(peer)
+			w.Write([]byte(strings.Repeat(" ", tc.pad)))
+		}))
+		rt, err := NewRouter(svc, ShardOptions{
+			Peers:     []string{"http://127.0.0.1:1", fake.URL},
+			MemberIDs: []string{"shard-0", "shard-1"},
+			Self:      0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		fake.Close()
+		var cs ClusterStats
+		if err := json.Unmarshal(rec.Body.Bytes(), &cs); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, merged := cs.Shards["shard-1"]
+		unreachable := len(cs.Unreachable) == 1 && cs.Unreachable[0] == "shard-1"
+		if unreachable != tc.dropped || merged == tc.dropped {
+			t.Fatalf("%s: unreachable %v, shards %v", tc.name, cs.Unreachable, cs.Shards)
+		}
+		want := int64(7)
+		if tc.dropped {
+			want = 0
+		}
+		if cs.Jobs.Started != want {
+			t.Fatalf("%s: merged jobs.started %d, want %d", tc.name, cs.Jobs.Started, want)
+		}
+	}
+}
+
+// TestRouterRejectsMalformedEnvelope: the router answers a malformed JSON
+// envelope with encoding/json's 400 itself, whether or not its log scans
+// cleanly, rather than forwarding it to the owner.
+func TestRouterRejectsMalformedEnvelope(t *testing.T) {
+	coord, err := NewRouter(nil, ShardOptions{
+		Peers:          []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		MemberIDs:      []string{"shard-0", "shard-1"},
+		Self:           -1,
+		ForwardRetries: 1,
+		ForwardBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"mode":tru,"log":"<log/>"}`, `{"log":"<log/>","mode":}`} {
+		var env struct {
+			Log string `json:"log"`
+		}
+		want := "decoding JSON envelope: " + json.Unmarshal([]byte(body), &env).Error()
+		req := httptest.NewRequest(http.MethodPost, "/abstract", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		coord.ServeHTTP(rec, req)
+		var out errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if rec.Code != http.StatusBadRequest || out.Error != want {
+			t.Fatalf("%s: status %d %q, want 400 %q", body, rec.Code, out.Error, want)
+		}
+	}
+}

@@ -311,7 +311,7 @@ type Service struct {
 	streams  *streamManager // nil when NoStreams
 	store    *diskStore     // nil when DataDir unset or unusable
 	pipe     *stageCache    // nil when the pipeline cache is disabled
-	wire     *wireMemo      // raw upload bytes -> canonical log digest
+	wire     *wireMemo      // upload wire identity -> canonical log digest
 	sem      chan struct{}
 
 	baseCtx    context.Context

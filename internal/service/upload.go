@@ -1,0 +1,459 @@
+// Upload decoding: the one body path of /abstract, /pipeline and the
+// router. A body is read once, capped at maxBodyBytes, into a buffer that
+// grows as bytes arrive and ends at its Content-Length. A raw body is the
+// log itself. A JSON envelope is scanned for its one top-level "log"
+// string, which is validated and unescaped exactly as encoding/json does
+// while the decoded bytes stream into one SHA-256; the rest of the
+// envelope, with the log blanked to "", goes through encoding/json. Any
+// body the scanner does not take goes whole through encoding/json, so
+// requests and error texts are those of json.Unmarshal. The digest keys the
+// wire memo and places the upload on the ring; the decoded text itself is
+// materialised only when the log must be parsed.
+package service
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
+)
+
+// maxBodyBytes caps an upload's body (64 MiB).
+const maxBodyBytes = 64 << 20
+
+// readBody reads a request body, capped at maxBodyBytes.
+func readBody(r *http.Request) ([]byte, error) {
+	return readCapped(r.Body, r.ContentLength, maxBodyBytes)
+}
+
+// readCapped reads rd to EOF, failing once more than limit bytes arrive.
+// declared is the length the sender announced, negative when unknown.
+//
+// The buffer only grows as bytes arrive, doubling, so a client that
+// announces a long body and then stalls holds no more than about twice
+// what it sent. Growth stops one byte past the declared length, so a body
+// of that length ends in a buffer one byte longer than itself, the byte
+// that lets it read its EOF without growing again.
+func readCapped(rd io.Reader, declared, limit int64) ([]byte, error) {
+	end := limit + 1
+	if declared >= 0 && declared < limit {
+		end = declared + 1
+	}
+	buf := make([]byte, 0, min(end, bytes.MinRead))
+	lr := io.LimitReader(rd, limit+1)
+	for {
+		if len(buf) == cap(buf) {
+			size := 2 * int64(cap(buf))
+			if int64(cap(buf)) < end {
+				size = min(size, end)
+			}
+			buf = append(make([]byte, 0, size), buf...)
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, fmt.Errorf("body exceeds %d bytes", limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading body: %w", err)
+		}
+	}
+}
+
+// isEnvelope reports whether a request's body is a JSON envelope rather
+// than a raw log.
+func isEnvelope(r *http.Request) bool {
+	return strings.HasPrefix(r.Header.Get("Content-Type"), "application/json")
+}
+
+// logText is an uploaded log as it arrived: a raw body, or the escaped
+// contents of an envelope's "log" string. The SHA-256 and length of an
+// escaped text are known from the scan; the text itself is produced by
+// bytes, only when the log must be parsed.
+type logText struct {
+	src     []byte // the text, or JSON string contents when escaped
+	escaped bool
+	n       int // length of the decoded text
+	sum     [sha256.Size]byte
+	summed  bool // sum is set
+}
+
+// plainText is a logText whose bytes are the text itself.
+func plainText(b []byte) *logText {
+	return &logText{src: b, n: len(b)}
+}
+
+// digest returns the SHA-256 of the decoded text. A plain text is hashed
+// here, on first use: /pipeline never asks, and the wire memo and the
+// router ask once.
+func (t *logText) digest() [sha256.Size]byte {
+	if !t.summed {
+		t.sum, t.summed = sha256.Sum256(t.src), true
+	}
+	return t.sum
+}
+
+// bytes returns the decoded text: src itself when it is not escaped, else
+// one buffer of exactly the decoded length.
+func (t *logText) bytes() []byte {
+	if !t.escaped {
+		return t.src
+	}
+	out, _, _ := unquote(make([]byte, 0, t.n), t.src, 0)
+	return out
+}
+
+// xmlish reports whether the text's first non-space rune is '<', the sniff
+// that picks XES for an upload without a format.
+func (t *logText) xmlish() bool {
+	if !t.escaped {
+		return bytes.HasPrefix(bytes.TrimLeftFunc(t.src, unicode.IsSpace), []byte("<"))
+	}
+	// unquote emits whole runes, so every chunk starts on a rune boundary.
+	var buf [64]byte
+	for i := 0; i < len(t.src); {
+		var chunk []byte
+		chunk, i, _ = unquote(buf[:0], t.src, i)
+		if rest := bytes.TrimLeftFunc(chunk, unicode.IsSpace); len(rest) > 0 {
+			return rest[0] == '<'
+		}
+	}
+	return false
+}
+
+// uploadFormat resolves an upload's wire format: the declared one, or XES
+// for a log whose first non-space rune is '<' and CSV otherwise.
+func uploadFormat(declared string, text *logText) (string, error) {
+	format := strings.ToLower(declared)
+	if format == "" {
+		if text.xmlish() {
+			return "xes", nil
+		}
+		return "csv", nil
+	}
+	if format != "xes" && format != "csv" {
+		return "", fmt.Errorf("unknown format %q (want xes or csv)", declared)
+	}
+	return format, nil
+}
+
+// decodeEnvelope decodes a JSON envelope body into env, whose "log" field
+// is log, and returns the log as a logText; the field itself is left
+// empty. Requests and errors are those of json.Unmarshal(body, env).
+func decodeEnvelope(body []byte, env any, log *string) (*logText, error) {
+	if text, start, end := scanEnvelope(body); text != nil {
+		// The rest of the envelope: body with the log blanked to "".
+		rest := make([]byte, 0, len(body)-(end-start))
+		rest = append(append(rest, body[:start]...), body[end:]...)
+		if err := json.Unmarshal(rest, env); err != nil {
+			return nil, fmt.Errorf("decoding JSON envelope: %w", err)
+		}
+		return text, nil
+	}
+	if err := json.Unmarshal(body, env); err != nil {
+		return nil, fmt.Errorf("decoding JSON envelope: %w", err)
+	}
+	text := plainText([]byte(*log))
+	*log = ""
+	return text, nil
+}
+
+// logKey is the envelope member scanEnvelope looks for.
+var logKey = []byte("log")
+
+// scanEnvelope finds a JSON object's top-level "log" member and, in one
+// pass over the log's bytes, validates and hashes its string value. It
+// returns the log and the bounds [start, end) of the string's contents in
+// body. text is nil for a body the scanner does not take, which must then
+// be decoded whole by encoding/json: a body that is not an object, a "log"
+// key that is escaped, differs in case or repeats (encoding/json matches
+// keys without regard to case and lets the last one win), a value that is
+// not a string, a string encoding/json would reject, or no "log" at all.
+//
+// Only strings and nesting are tracked elsewhere: encoding/json validates
+// the rest when it decodes the body with the log blanked to "", and
+// blanking a valid string changes neither the body's validity nor its
+// first error.
+func scanEnvelope(body []byte) (text *logText, start, end int) {
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return nil, 0, 0
+	}
+	i = skipSpace(body, i+1)
+	for {
+		if i == len(body) || body[i] != '"' {
+			return nil, 0, 0
+		}
+		keyEnd := skipString(body, i)
+		if keyEnd < 0 {
+			return nil, 0, 0
+		}
+		key := body[i+1 : keyEnd]
+		i = skipSpace(body, keyEnd+1)
+		if i == len(body) || body[i] != ':' {
+			return nil, 0, 0
+		}
+		i = skipSpace(body, i+1)
+		switch {
+		case bytes.Equal(key, logKey):
+			if text != nil || i == len(body) || body[i] != '"' {
+				return nil, 0, 0
+			}
+			if text, end = hashString(body, i+1); text == nil {
+				return nil, 0, 0
+			}
+			start, i = i+1, end+1
+		case bytes.IndexByte(key, '\\') >= 0 || bytes.EqualFold(key, logKey):
+			return nil, 0, 0
+		default:
+			if i = skipValue(body, i); i < 0 {
+				return nil, 0, 0
+			}
+		}
+		i = skipSpace(body, i)
+		if i == len(body) || body[i] != ',' {
+			break
+		}
+		i = skipSpace(body, i+1)
+	}
+	if text == nil || i == len(body) || body[i] != '}' {
+		return nil, 0, 0
+	}
+	return text, start, end
+}
+
+// hashChunk is how many decoded bytes hashString hands SHA-256 at a time.
+const hashChunk = 16 << 10
+
+// hashString validates the JSON string whose contents start at body[i],
+// streaming its decoded text into SHA-256. It returns the text and the
+// position of the closing quote, or nil for a string encoding/json would
+// reject.
+func hashString(body []byte, i int) (*logText, int) {
+	start := i
+	h := sha256.New()
+	buf := make([]byte, 0, hashChunk)
+	n := 0
+	for {
+		var ok bool
+		buf, i, ok = unquote(buf[:0], body, i)
+		if !ok || i == len(body) {
+			return nil, 0
+		}
+		h.Write(buf)
+		n += len(buf)
+		if body[i] == '"' {
+			break
+		}
+	}
+	text := &logText{src: body[start:i], escaped: true, n: n, summed: true}
+	h.Sum(text.sum[:0])
+	return text, i
+}
+
+// unquote decodes JSON string contents from src[i] onto dst as
+// encoding/json does: escapes are resolved, a surrogate pair becomes its
+// rune, and a lone surrogate and each byte of invalid UTF-8 become U+FFFD.
+// It stops at a closing quote, at the end of src, or before a piece that
+// would not fit in dst's capacity, and returns the position it stopped
+// at; pieces are whole runes. ok is false at a control character or an
+// escape encoding/json rejects.
+//
+//gecco:hotpath
+func unquote(dst, src []byte, i int) (_ []byte, next int, ok bool) {
+	var tmp [utf8.UTFMax]byte
+	for i < len(src) {
+		c := src[i]
+		if verbatim[c] {
+			j := i + 1
+			for j < len(src) && verbatim[src[j]] {
+				j++
+			}
+			j = min(j, i+cap(dst)-len(dst))
+			if j == i {
+				break
+			}
+			dst = append(dst, src[i:j]...)
+			i = j
+			continue
+		}
+		var piece []byte
+		size := 1
+		switch {
+		case c == '"':
+			return dst, i, true
+		case c == '\\':
+			var r rune
+			if r, size = escape(src, i); size == 0 {
+				return dst, i, false
+			}
+			if r < utf8.RuneSelf && len(dst) < cap(dst) {
+				dst = append(dst, byte(r))
+				i += size
+				continue
+			}
+			piece = utf8.AppendRune(tmp[:0], r)
+		case c < ' ':
+			return dst, i, false
+		default:
+			var r rune
+			r, size = utf8.DecodeRune(src[i:])
+			piece = src[i : i+size]
+			if r == utf8.RuneError && size == 1 {
+				piece = utf8.AppendRune(tmp[:0], r)
+			}
+		}
+		if len(piece) > cap(dst)-len(dst) {
+			break
+		}
+		dst = append(dst, piece...)
+		i += size
+	}
+	return dst, i, true
+}
+
+// verbatim marks the bytes a JSON string carries as themselves: printable
+// ASCII other than '"' and '\\'.
+var verbatim = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// escape decodes the escape sequence starting at the backslash src[i],
+// returning its rune and length, or length 0 for a sequence encoding/json
+// rejects.
+func escape(src []byte, i int) (rune, int) {
+	if i+1 == len(src) {
+		return 0, 0
+	}
+	switch src[i+1] {
+	case '"', '\\', '/':
+		return rune(src[i+1]), 2
+	case 'b':
+		return '\b', 2
+	case 'f':
+		return '\f', 2
+	case 'n':
+		return '\n', 2
+	case 'r':
+		return '\r', 2
+	case 't':
+		return '\t', 2
+	case 'u':
+		r := hex4(src[i:])
+		if r < 0 {
+			return 0, 0
+		}
+		if utf16.IsSurrogate(r) {
+			if pair := utf16.DecodeRune(r, hex4(src[i+6:])); pair != unicode.ReplacementChar {
+				return pair, 12
+			}
+			return unicode.ReplacementChar, 6
+		}
+		return r, 6
+	}
+	return 0, 0
+}
+
+// hex4 decodes a \uXXXX escape at the start of s, or returns -1.
+func hex4(s []byte) rune {
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+		return -1
+	}
+	a, b, c, d := hexDigit[s[2]], hexDigit[s[3]], hexDigit[s[4]], hexDigit[s[5]]
+	if a|b|c|d < 0 {
+		return -1
+	}
+	return rune(a)<<12 | rune(b)<<8 | rune(c)<<4 | rune(d)
+}
+
+// hexDigit maps a hexadecimal digit to its value and any other byte to -1.
+var hexDigit = func() (t [256]int8) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = int8(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = int8(c - 'a' + 10)
+		case 'A' <= c && c <= 'F':
+			t[c] = int8(c - 'A' + 10)
+		default:
+			t[c] = -1
+		}
+	}
+	return t
+}()
+
+// skipSpace returns the position of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipString returns the position of the closing quote of the string
+// opening at b[i], or -1 when it is unterminated.
+func skipString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i
+		}
+	}
+	return -1
+}
+
+// skipValue returns the position just past the value starting at b[i], or
+// -1 when there is none.
+func skipValue(b []byte, i int) int {
+	start, depth := i, 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			if i = skipString(b, i); i < 0 {
+				return -1
+			}
+			if depth == 0 {
+				return i + 1
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return scalarEnd(start, i)
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',', ':', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return scalarEnd(start, i)
+			}
+		}
+	}
+	return -1
+}
+
+// scalarEnd is skipValue's result for a scalar ending at i: a value must
+// have at least one byte.
+func scalarEnd(start, i int) int {
+	if i == start {
+		return -1
+	}
+	return i
+}

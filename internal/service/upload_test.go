@@ -1,0 +1,380 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"unicode/utf8"
+
+	"gecco/internal/eventlog"
+	"gecco/internal/pipeline"
+	"gecco/internal/procgen"
+	"gecco/internal/shard"
+	"gecco/internal/xes"
+)
+
+// envelopeCase is a body the envelope decoder is checked on; taken says
+// whether the scanner's fast path takes it.
+type envelopeCase struct {
+	name, body string
+	taken      bool
+}
+
+// envelopeCases are the bodies TestDecodeEnvelopeMatchesJSON checks and
+// the seeds of FuzzDecodeEnvelope: each way a body can leave the scanner's
+// fast path, each escape encoding/json resolves, and each error it
+// reports.
+func envelopeCases(t testing.TB) []envelopeCase {
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	small := xesText(t, procgen.RunningExample(3, 1))
+	// Longer than hashChunk once decoded, with escapes and multi-byte runes
+	// on every chunk boundary.
+	long := strings.Repeat("é<\"\\\n😀 x", 3000)
+	return []envelopeCase{
+		{"procgen abstract envelope", marshal(AbstractRequest{Log: small, Constraints: "distinct(role) <= 1", Mode: "dfg"}), true},
+		{"procgen pipeline envelope", marshal(PipelineHTTPRequest{Log: small, Stages: []pipeline.StageSpec{{Stage: "abstract"}, {Stage: "discover"}}, IncludeAbstracted: true}), true},
+		{"log longer than a hash chunk", marshal(AbstractRequest{Log: long, Format: "csv"}), true},
+		{"capitalised key", `{"Log":"<log/>","constraints":"c"}`, false},
+		{"upper-case key", `{"LOG":"<log/>"}`, false},
+		{"escaped key", `{"\u006cog":"<log/>","mode":"exh"}`, false},
+		{"two log members", `{"log":"a","log":"b"}`, false},
+		{"log then capitalised key", `{"log":"a","Log":"b"}`, false},
+		{"log nested in a member", `{"stages":[{"stage":"abstract","log":"inner"}],"x":{"log":"deep"},"log":"top"}`, true},
+		{"log nested only", `{"x":{"log":"deep"}}`, false},
+		{"quoted log inside a value", `{"constraints":"a\"log\":\"x","log":"y"}`, true},
+		{"null log", `{"log":null,"constraints":"c"}`, false},
+		{"number log", `{"log":12}`, false},
+		{"invalid escape", `{"log":"a\qb"}`, false},
+		{"short unicode escape", `{"log":"\u12"}`, false},
+		{"escaped single quote", `{"log":"\'"}`, false},
+		{"raw tab", "{\"log\":\"a\tb\"}", false},
+		{"raw newline", "{\"log\":\"a\nb\"}", false},
+		{"raw nul", "{\"log\":\"a\x00b\"}", false},
+		{"all simple escapes", `{"log":"\"\\\/\b\f\n\r\t\u0000\u00e9\u20AC é€"}`, true},
+		{"surrogate pair", `{"log":"\ud83d\ude00 😀"}`, true},
+		{"lone high surrogate", `{"log":"\ud800x"}`, true},
+		{"lone low surrogate", `{"log":"\udc00"}`, true},
+		{"high surrogate then non-surrogate escape", `{"log":"\ud800\u0041"}`, true},
+		{"reversed surrogates", `{"log":"\ude00\ud83d"}`, true},
+		{"high surrogate then bad escape", `{"log":"\ud800\uzzzz"}`, false},
+		{"invalid utf-8", "{\"log\":\"a\xffb\xc3\"}", true},
+		{"utf-8 encoded surrogate", "{\"log\":\"\xed\xa0\x80\"}", true},
+		{"trailing data", `{"log":"x"} junk`, true},
+		{"second value", `{"log":"x"}{}`, true},
+		{"trailing comma", `{"log":"x",}`, false},
+		{"type error in beamWidth", `{"log":"<log/>","beamWidth":"wide"}`, true},
+		{"type error before the log", `{"beamWidth":true,"log":"<log/>","workers":1.5}`, true},
+		{"constraintSets", `{"log":"<log/>","constraintSets":["distinct(role) <= 1","|g| <= 3"]}`, true},
+		{"syntax error before the log", `{"mode":tru,"log":"x"}`, true},
+		{"syntax error after the log", `{"log":"x","mode":}`, false},
+		{"unterminated log", `{"log":"abc`, false},
+		{"unclosed object", `{"log":"abc"`, false},
+		{"empty object", `{}`, false},
+		{"null body", `null`, false},
+		{"array body", `[{"log":"x"}]`, false},
+		{"empty body", ``, false},
+		{"whitespace around", " \r\n{ \"log\" :\t\"<log/>\" , \"format\" : \"XES\" }\n", true},
+		{"sniff past unicode space", `{"log":"\u00a0\u2028\n <log/>"}`, true},
+		{"sniff past raw unicode space", "{\"log\":\" 　<log/>\"}", true},
+		{"space-only log", `{"log":" \u0085 "}`, true},
+		{"declared format wins", `{"format":"CSV","log":"<x"}`, true},
+		{"unknown format", `{"format":"json","log":"x"}`, true},
+		{"pipeline stages type error", `{"log":"x","stages":{"stage":"abstract"}}`, true},
+	}
+}
+
+// xesText serialises a log as XES.
+func xesText(t testing.TB, log *eventlog.Log) string {
+	var b strings.Builder
+	if err := xes.Write(&b, log); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// oracleFormat is the format sniff as it reads on the decoded log text.
+func oracleFormat(declared, log string) string {
+	format := strings.ToLower(declared)
+	if format == "" {
+		if strings.HasPrefix(strings.TrimSpace(log), "<") {
+			return "xes"
+		}
+		return "csv"
+	}
+	return format
+}
+
+var testRing = shard.New([]string{"shard-0", "shard-1", "shard-2"}, 0)
+
+// checkEnvelope decodes body with the upload path and with json.Unmarshal,
+// into both envelope types, and fails unless both fail with the same text
+// or both succeed with equal requests once the log is materialised — and
+// the log's streamed digest is its wire key and its ring placement.
+func checkEnvelope(t *testing.T, body []byte) {
+	t.Helper()
+	checkDecode[AbstractRequest](t, body, func(e *AbstractRequest) (*string, string) { return &e.Log, e.Format })
+	checkDecode[PipelineHTTPRequest](t, body, func(e *PipelineHTTPRequest) (*string, string) { return &e.Log, e.Format })
+	checkDecode[routerEnvelope](t, body, func(e *routerEnvelope) (*string, string) { return &e.Log, "" })
+}
+
+// routerEnvelope is the envelope Router.routeByLog decodes: only the log it
+// routes by.
+type routerEnvelope struct {
+	Log string `json:"log"`
+}
+
+func checkDecode[E any](t *testing.T, body []byte, fields func(*E) (log *string, format string)) {
+	t.Helper()
+	var want, got E
+	werr := json.Unmarshal(body, &want)
+	wantLog, wantFormat := fields(&want)
+	gotLog, _ := fields(&got)
+	text, err := decodeEnvelope(body, &got, gotLog)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%T: decodeEnvelope error %v, json.Unmarshal error %v", got, err, werr)
+	}
+	if err != nil {
+		if w := "decoding JSON envelope: " + werr.Error(); err.Error() != w {
+			t.Fatalf("%T: error %q, want %q", got, err, w)
+		}
+		return
+	}
+	if *gotLog != "" {
+		t.Fatalf("%T: Log field holds %q; the log belongs to the logText", got, *gotLog)
+	}
+	decoded := text.bytes()
+	if len(decoded) != text.n {
+		t.Fatalf("%T: decoded %d bytes, scan counted %d", got, len(decoded), text.n)
+	}
+	*gotLog = string(decoded)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: decoded\n%+v\njson.Unmarshal\n%+v", got, got, want)
+	}
+	format, ferr := uploadFormat(wantFormat, text)
+	wantFormat = oracleFormat(wantFormat, *wantLog)
+	if known := wantFormat == "xes" || wantFormat == "csv"; (ferr == nil) != known || known && format != wantFormat {
+		t.Fatalf("%T: format %q (%v), want %q", got, format, ferr, wantFormat)
+	}
+	if ferr != nil {
+		return
+	}
+	if id := (wireID{format: format, sum: text.digest()}); id != wireKey(format, *wantLog) {
+		t.Fatalf("%T: streamed wire key differs from wireKey(%q, log)", got, format)
+	}
+	if seq, ref := testRing.SequenceHash(shard.HashSum(text.digest())), testRing.Sequence(*wantLog); !reflect.DeepEqual(seq, ref) {
+		t.Fatalf("%T: placement %v, Ring.Sequence(log) %v", got, seq, ref)
+	}
+}
+
+func TestDecodeEnvelopeMatchesJSON(t *testing.T) {
+	for _, tc := range envelopeCases(t) {
+		t.Run(seedName(tc.name), func(t *testing.T) { checkEnvelope(t, []byte(tc.body)) })
+	}
+}
+
+// TestScannerTakesPlainEnvelopes pins which bodies take the fast path: a
+// fallback is always correct, so only this test notices a scanner that
+// gives up on ordinary envelopes.
+func TestScannerTakesPlainEnvelopes(t *testing.T) {
+	for _, tc := range envelopeCases(t) {
+		if text, _, _ := scanEnvelope([]byte(tc.body)); (text != nil) != tc.taken {
+			t.Errorf("%s: scanner took the body: %v, want %v", tc.name, text != nil, tc.taken)
+		}
+	}
+}
+
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkEnvelope(t, body)
+	})
+}
+
+var updateSeeds = flag.Bool("update-seeds", false, "rewrite the FuzzDecodeEnvelope seed corpus in testdata")
+
+// TestEnvelopeFuzzSeeds keeps testdata/fuzz/FuzzDecodeEnvelope equal to
+// envelopeCases. Run it with -update-seeds to rewrite the corpus.
+func TestEnvelopeFuzzSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeEnvelope")
+	names := map[string]bool{}
+	for _, tc := range envelopeCases(t) {
+		if names[seedName(tc.name)] {
+			t.Fatalf("two cases are named %s", seedName(tc.name))
+		}
+		names[seedName(tc.name)] = true
+		path := filepath.Join(dir, seedName(tc.name))
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", tc.body)
+		if *updateSeeds {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("seed %s is missing or stale; rewrite the corpus with go test ./internal/service -run TestEnvelopeFuzzSeeds -update-seeds", path)
+		}
+	}
+}
+
+// seedName turns a description into a file name.
+func seedName(s string) string {
+	s = strings.Map(func(r rune) rune {
+		if 'a' <= r && r <= 'z' || '0' <= r && r <= '9' {
+			return r
+		}
+		return '-'
+	}, strings.ToLower(s))
+	return strings.Trim(s, "-")
+}
+
+// TestUnquoteChunks decodes a long escaped string through buffers of every
+// small capacity: pieces never split and the text comes out whole.
+func TestUnquoteChunks(t *testing.T) {
+	src, err := json.Marshal(strings.Repeat("aé\n\U0001F600<", 20) + "\xff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	if err := json.Unmarshal(src, &want); err != nil {
+		t.Fatal(err)
+	}
+	contents := src[1 : len(src)-1]
+	for size := utf8.UTFMax; size <= 9; size++ {
+		var got []byte
+		for i := 0; i < len(contents); {
+			var chunk []byte
+			var ok bool
+			chunk, i, ok = unquote(make([]byte, 0, size), contents, i)
+			if !ok || len(chunk) == 0 {
+				t.Fatalf("capacity %d: stuck at %d (ok %v)", size, i, ok)
+			}
+			got = append(got, chunk...)
+		}
+		if string(got) != want {
+			t.Fatalf("capacity %d: decoded %q, want %q", size, got, want)
+		}
+	}
+}
+
+// filler is an endless body of "x\n" lines.
+type filler struct{}
+
+var fillerBlock = bytes.Repeat([]byte("x\n"), 32<<10)
+
+func (filler) Read(p []byte) (int, error) { return copy(p, fillerBlock), nil }
+
+// TestBodyCap pins maxBodyBytes on every log endpoint and on the router in
+// front of them: one byte over is a 400 naming the cap, and a body of
+// exactly the cap is not refused for its size.
+func TestBodyCap(t *testing.T) {
+	svc := New(Options{})
+	t.Cleanup(svc.Close)
+	c := newTestCluster(t, 2, Options{})
+	post := func(h http.Handler, path string, n int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, io.LimitReader(filler{}, n))
+		req.ContentLength = n
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, tc := range []struct {
+		name, path string
+		h          http.Handler
+	}{
+		{"abstract", "/abstract", Handler(svc)},
+		{"pipeline", "/pipeline", Handler(svc)},
+		{"router", "/abstract", c.routers[0]},
+	} {
+		rec := post(tc.h, tc.path, maxBodyBytes+1)
+		var out errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rec.Code != http.StatusBadRequest || out.Error != "body exceeds 67108864 bytes" {
+			t.Errorf("%s: status %d %q, want 400 %q", tc.name, rec.Code, out.Error, "body exceeds 67108864 bytes")
+		}
+	}
+	rec := post(Handler(svc), "/abstract", maxBodyBytes)
+	if strings.Contains(rec.Body.String(), "exceeds") {
+		t.Fatalf("a body of exactly maxBodyBytes was refused: %s", rec.Body)
+	}
+}
+
+// TestReadCappedSizing: a body of its declared length ends in a buffer of
+// exactly that size, a body longer or shorter than declared still reads
+// whole, and the buffer never holds much more than what arrived, however
+// long the declared length.
+func TestReadCappedSizing(t *testing.T) {
+	body := bytes.Repeat([]byte("ab"), 5000)
+	for _, declared := range []int64{-1, 0, 10, int64(len(body)), int64(len(body)) * 3, maxBodyBytes, maxBodyBytes * 4} {
+		got, err := readCapped(bytes.NewReader(body), declared, maxBodyBytes)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("declared %d: read %d bytes, err %v", declared, len(got), err)
+		}
+		if declared == int64(len(body)) && cap(got) != len(body)+1 {
+			t.Fatalf("declared length: capacity %d, want %d", cap(got), len(body)+1)
+		}
+		if cap(got) > 2*len(body) {
+			t.Fatalf("declared %d: capacity %d for a %d-byte body", declared, cap(got), len(body))
+		}
+	}
+	// A client that declares the largest body allowed and sends a few bytes
+	// holds a small buffer.
+	got, err := readCapped(strings.NewReader("short"), maxBodyBytes, maxBodyBytes)
+	if err != nil || string(got) != "short" || cap(got) > bytes.MinRead {
+		t.Fatalf("short body under a long declared length: %q, capacity %d, err %v", got, cap(got), err)
+	}
+	if _, err := readCapped(bytes.NewReader(body), -1, int64(len(body))-1); err == nil {
+		t.Fatal("a body over the limit was accepted")
+	}
+}
+
+// BenchmarkDecodeEnvelope decodes a 200-trace loan log's envelope and
+// derives its wire key: the upload path against json.Unmarshal plus
+// wireKey, the decode it replaced.
+func BenchmarkDecodeEnvelope(b *testing.B) {
+	body, err := json.Marshal(AbstractRequest{Log: xesText(b, procgen.LoanLog(200, 1)), Constraints: "distinct(role) <= 3"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("scan", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var env AbstractRequest
+			text, err := decodeEnvelope(body, &env, &env.Log)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = wireID{format: "xes", sum: text.digest()}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var env AbstractRequest
+			if err := json.Unmarshal(body, &env); err != nil {
+				b.Fatal(err)
+			}
+			_ = wireKey("xes", env.Log)
+		}
+	})
+}

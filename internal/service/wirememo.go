@@ -2,50 +2,59 @@
 // CSV uploads of the same events collide, as they should), so it can only
 // be computed from a *parsed* log — which makes parsing the price of every
 // request, even one served entirely from the result cache. The memo closes
-// that gap for the common case: it maps the SHA-256 of an upload's raw wire
-// bytes to the canonical digest learned the first time those bytes were
-// parsed. A byte-identical re-upload then knows its digest immediately, so
-// cache hits skip the parse — and with a warm tier, a spilled session can
-// be re-opened from its .gidx without the server ever re-reading the XES.
+// that gap for the common case: it maps an upload's wire identity — its
+// format and the SHA-256 of its log text, which the upload path computes
+// while decoding the body — to the canonical digest learned the first time
+// that text was parsed. A byte-identical re-upload then knows its digest
+// immediately, so cache hits skip the parse — and with a warm tier, a
+// spilled session can be re-opened from its .gidx without the server ever
+// re-reading the XES.
 package service
 
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 )
 
-// wireMemoCapacity bounds the memo. Entries are two hex digests (~130
-// bytes), so this covers any realistic hot set for a few tens of KiB.
+// wireMemoCapacity bounds the memo. Entries are a wire identity and a hex
+// digest (~150 bytes), so this covers any realistic hot set in about
+// 150 KiB.
 const wireMemoCapacity = 1024
 
 type wireMemo struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element
+	entries map[wireID]*list.Element
 	order   *list.List // front = most recently used
 }
 
-type wireEntry struct{ raw, digest string }
+// wireID is an upload's wire identity: its format and the SHA-256 of its
+// log text (decoded from the envelope when it came in one). The same text
+// parses differently as XES and CSV, so the two must not share an entry.
+type wireID struct {
+	format string
+	sum    [sha256.Size]byte
+}
+
+type wireEntry struct {
+	id     wireID
+	digest string
+}
 
 func newWireMemo() *wireMemo {
-	return &wireMemo{entries: make(map[string]*list.Element), order: list.New()}
+	return &wireMemo{entries: make(map[wireID]*list.Element), order: list.New()}
 }
 
-// wireKey hashes an upload's raw bytes together with its wire format: the
-// same text parses differently as XES vs CSV, so the two must not share a
-// memo entry.
-func wireKey(format, text string) string {
-	h := sha256.New()
-	writeStr(h, format)
-	writeStr(h, text)
-	return hex.EncodeToString(h.Sum(nil))
+// wireKey is the reference for the wireID the upload path streams out of a
+// body.
+func wireKey(format, text string) wireID {
+	return wireID{format: format, sum: sha256.Sum256([]byte(text))}
 }
 
-func (m *wireMemo) get(raw string) (string, bool) {
+func (m *wireMemo) get(id wireID) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[raw]
+	el, ok := m.entries[id]
 	if !ok {
 		return "", false
 	}
@@ -53,18 +62,18 @@ func (m *wireMemo) get(raw string) (string, bool) {
 	return el.Value.(*wireEntry).digest, true
 }
 
-func (m *wireMemo) put(raw, digest string) {
+func (m *wireMemo) put(id wireID, digest string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[raw]; ok {
+	if el, ok := m.entries[id]; ok {
 		m.order.MoveToFront(el)
 		el.Value.(*wireEntry).digest = digest
 		return
 	}
-	m.entries[raw] = m.order.PushFront(&wireEntry{raw: raw, digest: digest})
+	m.entries[id] = m.order.PushFront(&wireEntry{id: id, digest: digest})
 	for len(m.entries) > wireMemoCapacity {
 		last := m.order.Back()
 		m.order.Remove(last)
-		delete(m.entries, last.Value.(*wireEntry).raw)
+		delete(m.entries, last.Value.(*wireEntry).id)
 	}
 }

@@ -41,12 +41,17 @@ type Ring struct {
 	points  []point // sorted by hash
 }
 
-// hash64 maps a string to a ring position. SHA-256 truncated to 64 bits:
+// Hash maps a key to its ring position. SHA-256 truncated to 64 bits:
 // deterministic across platforms and Go versions (unlike maphash), uniform
 // enough that virtual nodes spread evenly, and already the digest family the
 // serving layer uses for log identity.
-func hash64(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
+func Hash(key string) uint64 {
+	return HashSum(sha256.Sum256([]byte(key)))
+}
+
+// HashSum is Hash for a key whose SHA-256 the caller already holds: the
+// sum's first 8 bytes, big-endian.
+func HashSum(sum [sha256.Size]byte) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
@@ -76,7 +81,7 @@ func New(members []string, vnodes int) *Ring {
 		for v := 0; v < vnodes; v++ {
 			// The separator byte cannot occur in a printable member ID, so
 			// distinct (member, vnode) pairs cannot collide on input bytes.
-			r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s\x00%d", m, v)), member: int32(i)})
+			r.points = append(r.points, point{hash: Hash(fmt.Sprintf("%s\x00%d", m, v)), member: int32(i)})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {
@@ -101,13 +106,12 @@ func (r *Ring) Owner(key string) string {
 	if len(r.members) == 0 {
 		return ""
 	}
-	return r.members[r.points[r.search(key)].member]
+	return r.members[r.points[r.search(Hash(key))].member]
 }
 
-// search returns the index of the first point at or after the key's hash,
+// search returns the index of the first point at or after position h,
 // wrapping to 0 past the last point.
-func (r *Ring) search(key string) int {
-	h := hash64(key)
+func (r *Ring) search(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -122,12 +126,18 @@ func (r *Ring) search(key string) int {
 // it if the ring were rebuilt without the failed one. The returned slice is
 // freshly allocated.
 func (r *Ring) Sequence(key string) []string {
+	return r.SequenceHash(Hash(key))
+}
+
+// SequenceHash is Sequence for a key whose position, Hash(key), the caller
+// already holds.
+func (r *Ring) SequenceHash(h uint64) []string {
 	if len(r.members) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(r.members))
 	seen := make(map[int32]bool, len(r.members))
-	for i, start := 0, r.search(key); len(out) < len(r.members) && i < len(r.points); i++ {
+	for i, start := 0, r.search(h); len(out) < len(r.members) && i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.member] {
 			seen[p.member] = true

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,6 +43,25 @@ func TestDeterministicPlacementPinned(t *testing.T) {
 		if got := r.Sequence(key); !reflect.DeepEqual(got, seq) {
 			t.Errorf("Sequence(%q) = %v, want pinned %v", key, got, seq)
 		}
+	}
+}
+
+// TestSequenceHashMatchesSequence: a caller that already holds a key's
+// SHA-256 gets the key's placement from it without rehashing the key.
+func TestSequenceHashMatchesSequence(t *testing.T) {
+	r := New(pinMembers, 0)
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("log-%d", i)
+		h := HashSum(sha256.Sum256([]byte(key)))
+		if h != Hash(key) {
+			t.Fatalf("HashSum and Hash disagree on %q", key)
+		}
+		if got, want := r.SequenceHash(h), r.Sequence(key); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SequenceHash = %v, Sequence(%q) = %v", got, key, want)
+		}
+	}
+	if got := New(nil, 0).SequenceHash(Hash("x")); got != nil {
+		t.Errorf("empty ring SequenceHash = %v, want nil", got)
 	}
 }
 

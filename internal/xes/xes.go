@@ -73,6 +73,13 @@ func ReadIndex(r io.Reader) (*eventlog.Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xes: read: %w", err)
 	}
+	return ReadIndexBytes(src)
+}
+
+// ReadIndexBytes is ReadIndex over a document already in memory, without
+// copying it first. The Index copies every string it keeps, so src may be
+// reused once it returns.
+func ReadIndexBytes(src []byte) (*eventlog.Index, error) {
 	return scan(src)
 }
 

@@ -35,7 +35,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/par/ ./internal/candidates/ ./internal/distance/ ./internal/constraints/ ./internal/core/ ./internal/service/ ./internal/shard/ ./internal/stream/ ./internal/eventlog/ ./internal/experiments/ .
+	$(GO) test -race ./internal/par/ ./internal/candidates/ ./internal/distance/ ./internal/constraints/ ./internal/core/ ./internal/pipeline/ ./internal/service/ ./internal/shard/ ./internal/stream/ ./internal/eventlog/ ./internal/experiments/ .
 
 vet:
 	$(GO) vet ./...
@@ -64,14 +64,16 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-# Differential fuzzing, a fixed time per target. FuzzReadXES holds the XES
-# scanner to the encoding/xml decoder it replaced, and FuzzDecodeEnvelope
-# the JSON envelope decoder to json.Unmarshal; their seed corpora live in
-# each package's testdata/fuzz. A short minimisation budget keeps a large
-# new input from stalling the run.
+# Fuzzing, a fixed time per target. FuzzReadXES holds the XES scanner to
+# the encoding/xml decoder it replaced, FuzzDecodeEnvelope the JSON envelope
+# decoder to json.Unmarshal, and FuzzParseSpecs the stage-list parser to
+# its round-trip properties; their seed corpora live in each package's
+# testdata/fuzz. A short minimisation budget keeps a large new input from
+# stalling the run.
 fuzz:
 	$(GO) test ./internal/xes -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime 30s -fuzzminimizetime 2s
 
 # bench/ is a module of its own, so `go test ./...` never builds it: vet and
 # test it on its own, offline, to catch changes to the packages it calls.

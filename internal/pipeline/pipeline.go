@@ -139,18 +139,13 @@ type StageCache interface {
 // Env supplies host hooks to the engine. The zero value runs every stage
 // standalone: fresh sessions, no caching.
 type Env struct {
-	// AcquireSession, when non-nil, returns a solver session for the
-	// index identified by key (State.IndexKey). Hosts back this with the
-	// session LRU so repeated runs on the same (possibly filtered) log
-	// reuse frozen artifacts and warm distance memos.
-	AcquireSession func(ctx context.Context, key string, x *eventlog.Index) (*core.Session, error)
-	// LookupAbstract and StoreAbstract, when non-nil, layer the abstract
-	// stage onto a host result cache keyed by (index key, constraint set,
-	// config) — the same keying the one-shot solve endpoint uses, so
-	// pipeline and non-pipeline runs of an unfiltered log share entries.
-	// Only consulted for cacheable configs (see service.Cacheable).
-	LookupAbstract func(indexKey string, set *constraints.Set, cfg core.Config) (*core.Result, bool)
-	StoreAbstract  func(indexKey string, set *constraints.Set, cfg core.Config, res *core.Result)
+	// Abstract, when non-nil, solves the abstract stage: in's working log
+	// (in.Index, identified by in.IndexKey) under in.Constraints and cfg.
+	// Hosts back it with their result cache and session LRU, keyed as the
+	// one-shot solve endpoint keys them, so pipeline and non-pipeline runs
+	// of an unfiltered log share entries and warm distance memos. nil
+	// solves on a fresh session.
+	Abstract func(ctx context.Context, in *State, cfg core.Config) (*core.Result, error)
 	// Cache is the per-stage state cache; nil disables stage caching.
 	Cache StageCache
 }

@@ -240,6 +240,20 @@ func TestSpecParsing(t *testing.T) {
 	if _, err := ParseSpecs(`[{"stage":"abstract","nope":1}]`); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// One list and nothing after it: a second list, garbage or a stray
+	// bracket is an error, not dropped.
+	for _, text := range []string{
+		`[{"stage":"abstract"}][{"stage":"bogus"}]`,
+		`[{"stage":"abstract"}] garbage`,
+		`[{"stage":"abstract"}]}`,
+	} {
+		if _, err := ParseSpecs(text); err == nil || !strings.HasPrefix(err.Error(), "pipeline: parsing stage list:") {
+			t.Fatalf("ParseSpecs(%s) = %v, want a stage-list parse error", text, err)
+		}
+	}
+	if specs, err := ParseSpecs("[{\"stage\":\"abstract\"}]\n"); err != nil || len(specs) != 1 {
+		t.Fatalf("trailing newline: %d specs, %v", len(specs), err)
+	}
 	if _, err := BuildStages([]StageSpec{{Stage: "filter"}}); err == nil {
 		t.Fatal("no-op filter accepted")
 	}

@@ -74,6 +74,11 @@ func ParseSpecs(text string) ([]StageSpec, error) {
 	if err := dec.Decode(&specs); err != nil {
 		return nil, fmt.Errorf("pipeline: parsing stage list: %w", err)
 	}
+	// Decode stops after one value; anything but JSON whitespace after it
+	// is an error, not a second list to ignore.
+	if rest := strings.Trim(text[dec.InputOffset():], " \t\r\n"); rest != "" {
+		return nil, fmt.Errorf("pipeline: parsing stage list: data after the list: %.20q", rest)
+	}
 	return specs, nil
 }
 
@@ -113,25 +118,8 @@ func (sp StageSpec) build() (Stage, error) {
 	case "suggest":
 		return SuggestStage{Top: sp.Top, MinPass: sp.MinPass}, nil
 	case "abstract":
-		cfg := core.Config{
-			BeamWidth:          sp.BeamWidth,
-			Workers:            sp.Workers,
-			Budget:             candidates.Budget{MaxChecks: sp.MaxChecks},
-			SkipExclusiveMerge: sp.SkipMerge,
-			NamePrefix:         sp.NamePrefix,
-			NameByClassAttr:    sp.NameByClassAttr,
-		}
-		var err error
-		if cfg.Mode, err = parseMode(sp.Mode); err != nil {
-			return nil, err
-		}
-		if cfg.Strategy, err = parseStrategy(sp.Strategy); err != nil {
-			return nil, err
-		}
-		if cfg.Policy, err = parsePolicy(sp.Policy); err != nil {
-			return nil, err
-		}
-		if cfg.Solver, err = parseSolver(sp.Solver); err != nil {
+		cfg, err := sp.SolverConfig()
+		if err != nil {
 			return nil, err
 		}
 		return AbstractStage{Config: cfg}, nil
@@ -144,50 +132,52 @@ func (sp StageSpec) build() (Stage, error) {
 	}
 }
 
-// The wire spellings below match the /abstract endpoint's.
-
-func parseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
+// SolverConfig maps the spec's abstract fields onto a solver
+// configuration. It is the one parser of the solver's wire spellings
+// (mode, strategy, policy, solver): POST /abstract and POST /stream read
+// theirs through it too.
+func (sp StageSpec) SolverConfig() (core.Config, error) {
+	cfg := core.Config{
+		BeamWidth:          sp.BeamWidth,
+		Workers:            sp.Workers,
+		Budget:             candidates.Budget{MaxChecks: sp.MaxChecks},
+		SkipExclusiveMerge: sp.SkipMerge,
+		NamePrefix:         sp.NamePrefix,
+		NameByClassAttr:    sp.NameByClassAttr,
+	}
+	switch strings.ToLower(sp.Mode) {
 	case "", "dfg", "dfg-unbounded":
-		return core.DFGUnbounded, nil
+		cfg.Mode = core.DFGUnbounded
 	case "exh", "exhaustive":
-		return core.Exhaustive, nil
+		cfg.Mode = core.Exhaustive
 	case "dfgk", "beam", "dfg-beam":
-		return core.DFGBeam, nil
+		cfg.Mode = core.DFGBeam
 	default:
-		return 0, fmt.Errorf("unknown mode %q (want exh, dfg, or dfgk)", s)
+		return core.Config{}, fmt.Errorf("unknown mode %q (want exh, dfg, or dfgk)", sp.Mode)
 	}
-}
-
-func parseStrategy(s string) (abstraction.Strategy, error) {
-	switch strings.ToLower(s) {
+	switch strings.ToLower(sp.Strategy) {
 	case "", "completion":
-		return abstraction.CompletionOnly, nil
+		cfg.Strategy = abstraction.CompletionOnly
 	case "start-complete":
-		return abstraction.StartComplete, nil
+		cfg.Strategy = abstraction.StartComplete
 	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
+		return core.Config{}, fmt.Errorf("unknown strategy %q", sp.Strategy)
 	}
-}
-
-func parsePolicy(s string) (instances.Policy, error) {
-	switch strings.ToLower(s) {
+	switch strings.ToLower(sp.Policy) {
 	case "", "split":
-		return instances.SplitOnRepeat, nil
+		cfg.Policy = instances.SplitOnRepeat
 	case "whole":
-		return instances.WholeTrace, nil
+		cfg.Policy = instances.WholeTrace
 	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
+		return core.Config{}, fmt.Errorf("unknown policy %q", sp.Policy)
 	}
-}
-
-func parseSolver(s string) (core.Solver, error) {
-	switch strings.ToLower(s) {
+	switch strings.ToLower(sp.Solver) {
 	case "", "bb":
-		return core.SolverBB, nil
+		cfg.Solver = core.SolverBB
 	case "mip":
-		return core.SolverMIP, nil
+		cfg.Solver = core.SolverMIP
 	default:
-		return 0, fmt.Errorf("unknown solver %q (want bb or mip)", s)
+		return core.Config{}, fmt.Errorf("unknown solver %q (want bb or mip)", sp.Solver)
 	}
+	return cfg, nil
 }

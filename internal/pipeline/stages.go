@@ -155,11 +155,10 @@ func (s SuggestStage) Run(ctx context.Context, env *Env, in *State) (*State, err
 }
 
 // AbstractStage wraps core.Session.Solve: the working log is abstracted
-// under the active constraints. Sessions come from Env.AcquireSession when
-// the host provides one (the service's session LRU), and results go through
-// Env.Lookup/StoreAbstract so pipeline runs share the host's result cache
-// and disk tier with one-shot solves. Time-budget knobs are deliberately
-// absent: every abstract stage is deterministic and therefore cacheable.
+// under the active constraints, through Env.Abstract when the host provides
+// one (the service's result cache, disk tier and session LRU). Time-budget
+// knobs are deliberately absent: every abstract stage is deterministic and
+// therefore cacheable.
 type AbstractStage struct {
 	Config core.Config
 }
@@ -191,24 +190,13 @@ func (a AbstractStage) Needs() []Artifact {
 func (a AbstractStage) Provides() []Artifact { return []Artifact{ArtifactAbstraction} }
 
 func (a AbstractStage) Run(ctx context.Context, env *Env, in *State) (*State, error) {
-	cfg := a.cfg()
-	var res *core.Result
-	if env.LookupAbstract != nil {
-		if hit, ok := env.LookupAbstract(in.IndexKey, in.Constraints, cfg); ok {
-			res = hit
-		}
+	solve := env.Abstract
+	if solve == nil {
+		solve = solveFresh
 	}
-	if res == nil {
-		sess, err := a.session(ctx, env, in)
-		if err != nil {
-			return nil, err
-		}
-		if res, err = sess.Solve(ctx, in.Constraints, cfg); err != nil {
-			return nil, err
-		}
-		if env.StoreAbstract != nil {
-			env.StoreAbstract(in.IndexKey, in.Constraints, cfg, res)
-		}
+	res, err := solve(ctx, in, a.cfg())
+	if err != nil {
+		return nil, err
 	}
 	next := *in
 	next.Abstraction = res
@@ -221,11 +209,14 @@ func (a AbstractStage) Run(ctx context.Context, env *Env, in *State) (*State, er
 	return &next, nil
 }
 
-func (a AbstractStage) session(ctx context.Context, env *Env, in *State) (*core.Session, error) {
-	if env.AcquireSession != nil {
-		return env.AcquireSession(ctx, in.IndexKey, in.Index)
+// solveFresh is the abstract stage's solve without a host: a fresh session
+// on the working log.
+func solveFresh(ctx context.Context, in *State, cfg core.Config) (*core.Result, error) {
+	sess, err := core.NewSessionFromIndex(in.Index)
+	if err != nil {
+		return nil, err
 	}
-	return core.NewSessionFromIndex(in.Index)
+	return sess.Solve(ctx, in.Constraints, cfg)
 }
 
 // DiscoverStage mines a process model from the abstracted log (or the

@@ -12,13 +12,10 @@ import (
 	"sync"
 	"time"
 
-	"gecco/internal/abstraction"
-	"gecco/internal/candidates"
 	"gecco/internal/constraints"
-	"gecco/internal/core"
 	"gecco/internal/csvlog"
 	"gecco/internal/eventlog"
-	"gecco/internal/instances"
+	"gecco/internal/pipeline"
 	"gecco/internal/xes"
 )
 
@@ -170,8 +167,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 	// queue is full the request would be rejected anyway (cache hits and
 	// coalescing joins can slip through after a retry — they are cheap).
 	if s.Busy() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, ErrBusy)
+		writeRunError(w, r, ErrBusy)
 		return
 	}
 	env, text, err := decodeAbstractRequest(r)
@@ -183,7 +179,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 		handleBatch(s, w, r, env, text)
 		return
 	}
-	req, format, err := buildRequest(s, env, text)
+	req, err := buildRequest(s, env, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -192,12 +188,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 	if env.Async {
 		snap, err := s.Submit(req)
 		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				w.Header().Set("Retry-After", "1")
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
+			writeRunError(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, AbstractResponse{JobID: snap.ID, State: string(snap.State)})
@@ -208,32 +199,10 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 	// waiter cancels the pipeline mid-frontier.
 	res, meta, err := s.Do(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrInvalidRequest) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if r.Context().Err() != nil {
-				// The client went away: 499 is nginx's "client closed
-				// request"; the response is unlikely to be seen, but logs
-				// and tests observe the status.
-				status = 499
-			} else {
-				// Server-side cancellation (admin cancel of a coalesced
-				// job, shutdown) while the client is still connected.
-				status = http.StatusServiceUnavailable
-			}
-		}
-		writeError(w, status, err)
+		writeRunError(w, r, err)
 		return
 	}
-	resp, err := buildResponse(res, format, env.OmitAbstracted)
+	resp, err := buildResponse(res, req.Tag, env.OmitAbstracted)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -243,6 +212,32 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 	resp.JobID = meta.JobID
 	resp.State = string(StateDone)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeRunError answers a request whose run failed or was never admitted:
+// 400 for the client's mistake, 503 with Retry-After when the service is
+// busy or closing, 499 when the client went away mid-run, 503 when the
+// service cancelled the run under a connected client, and 500 otherwise.
+func writeRunError(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, ErrInvalidRequest):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// Server-side cancellation (admin cancel of a coalesced job,
+		// shutdown) while the client is still connected.
+		status = http.StatusServiceUnavailable
+		if r.Context().Err() != nil {
+			// The client went away: 499 is nginx's "client closed
+			// request"; the response is unlikely to be seen, but logs
+			// and tests observe the status.
+			status = 499
+		}
+	}
+	writeError(w, status, err)
 }
 
 // handleBatch solves every constraint set of the envelope against the one
@@ -261,7 +256,7 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *Abstra
 		writeError(w, http.StatusBadRequest, fmt.Errorf("use either constraints or constraintSets, not both"))
 		return
 	}
-	base, format, err := buildRequest(s, env, text)
+	base, err := buildRequest(s, env, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -292,7 +287,7 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request, env *Abstra
 			item.Error = err.Error()
 			continue
 		}
-		built, err := buildResponse(res, format, env.OmitAbstracted)
+		built, err := buildResponse(res, req.Tag, env.OmitAbstracted)
 		if err != nil {
 			item.Error = err.Error()
 			continue
@@ -425,19 +420,48 @@ func decodeAbstractRequest(r *http.Request) (*AbstractRequest, *logText, error) 
 	return env, plainText(body), nil
 }
 
-// buildRequest parses the envelope into a service request plus the format
-// to serialise the response log in. The log itself parses lazily behind
-// the service's wire-digest memo: when a byte-identical upload has been
-// parsed before, the request carries only its canonical digest and a
-// loader, so a result-cache hit — or a live/warm-opened session — never
-// re-reads the XES/CSV at all. Parse errors on that path are impossible
-// by construction: the memo is only populated after a successful parse,
-// and parsing is deterministic.
-func buildRequest(s *Service, env *AbstractRequest, text *logText) (Request, string, error) {
+// buildRequest parses the envelope into a service request whose Tag is the
+// format to serialise the response log in. The log itself comes through
+// the wire-digest memo (see openLog).
+func buildRequest(s *Service, env *AbstractRequest, text *logText) (Request, error) {
 	format, err := uploadFormat(env.Format, text)
 	if err != nil {
-		return Request{}, "", err
+		return Request{}, err
 	}
+	set, err := constraints.ParseSet(env.Constraints)
+	if err != nil {
+		return Request{}, fmt.Errorf("parsing constraints: %w", err)
+	}
+	cfg, err := pipeline.StageSpec{
+		Mode:            env.Mode,
+		BeamWidth:       env.BeamWidth,
+		Workers:         env.Workers,
+		MaxChecks:       env.MaxChecks,
+		Strategy:        env.Strategy,
+		Policy:          env.Policy,
+		Solver:          env.Solver,
+		NamePrefix:      env.NamePrefix,
+		NameByClassAttr: env.NameByClassAttr,
+	}.SolverConfig()
+	if err != nil {
+		return Request{}, err
+	}
+	req := Request{Constraints: set, Config: cfg, Tag: format}
+	if err := s.openLog(&req, text); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+// openLog points req at its uploaded log, in the format req.Tag names,
+// through the wire-digest memo. When a byte-identical upload has been
+// parsed before, req carries only its canonical digest and a loader, so a
+// result-cache hit, or a live or warm-opened session, never re-reads the
+// XES or CSV at all. Any other upload is parsed here, and the memo learns
+// its digest. The loader cannot fail: the memo only learns uploads that
+// parsed, and parsing is deterministic.
+func (s *Service) openLog(req *Request, text *logText) error {
+	format := req.Tag
 	// One parse-once loader shared by every per-set copy of a batch
 	// request: whichever copy needs the events first pays the parse, the
 	// rest reuse it.
@@ -446,59 +470,19 @@ func buildRequest(s *Service, env *AbstractRequest, text *logText) (Request, str
 		parsed    *eventlog.Index
 		parseErr  error
 	)
-	load := func() (*eventlog.Index, error) {
+	req.loadIndex = func() (*eventlog.Index, error) {
 		//lint:gecco-allow(oncesafe): a fresh Once per request is the point — every per-set copy of this one request shares the closure (and so this Once); single-flight across requests is the wire memo's job, not this loader's
 		parseOnce.Do(func() { parsed, parseErr = parseUpload(format, text.bytes()) })
 		return parsed, parseErr
 	}
-	set, err := constraints.ParseSet(env.Constraints)
-	if err != nil {
-		return Request{}, "", fmt.Errorf("parsing constraints: %w", err)
-	}
-	cfg := core.Config{
-		BeamWidth:       env.BeamWidth,
-		Workers:         env.Workers,
-		Budget:          candidates.Budget{MaxChecks: env.MaxChecks},
-		NamePrefix:      env.NamePrefix,
-		NameByClassAttr: env.NameByClassAttr,
-	}
-	cfg.Mode, err = parseMode(env.Mode)
-	if err != nil {
-		return Request{}, "", err
-	}
-	switch strings.ToLower(env.Strategy) {
-	case "", "completion":
-		cfg.Strategy = abstraction.CompletionOnly
-	case "start-complete":
-		cfg.Strategy = abstraction.StartComplete
-	default:
-		return Request{}, "", fmt.Errorf("unknown strategy %q", env.Strategy)
-	}
-	switch strings.ToLower(env.Policy) {
-	case "", "split":
-		cfg.Policy = instances.SplitOnRepeat
-	case "whole":
-		cfg.Policy = instances.WholeTrace
-	default:
-		return Request{}, "", fmt.Errorf("unknown policy %q", env.Policy)
-	}
-	switch strings.ToLower(env.Solver) {
-	case "", "bb":
-		cfg.Solver = core.SolverBB
-	case "mip":
-		cfg.Solver = core.SolverMIP
-	default:
-		return Request{}, "", fmt.Errorf("unknown solver %q (want bb or mip)", env.Solver)
-	}
-	req := Request{Constraints: set, Config: cfg, Tag: format, loadIndex: load}
 	wk := wireID{format: format, sum: text.digest()}
 	if d, ok := s.wire.get(wk); ok {
 		req.digest = d
-		return req, format, nil
+		return nil
 	}
-	x, err := load()
+	x, err := req.loadIndex()
 	if err != nil {
-		return Request{}, "", err
+		return err
 	}
 	req.Index = x
 	// Empty logs are rejected by validation, so memoising one would let a
@@ -506,7 +490,7 @@ func buildRequest(s *Service, env *AbstractRequest, text *logText) (Request, str
 	if x.NumTraces() > 0 {
 		s.wire.put(wk, req.logDigest())
 	}
-	return req, format, nil
+	return nil
 }
 
 // parseUpload parses an uploaded log of the given wire format straight
@@ -527,20 +511,6 @@ func parseUpload(format string, text []byte) (*eventlog.Index, error) {
 	return x, nil
 }
 
-// parseMode maps the wire spelling of a candidate mode onto core.Mode.
-func parseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
-	case "", "dfg", "dfg-unbounded":
-		return core.DFGUnbounded, nil
-	case "exh", "exhaustive":
-		return core.Exhaustive, nil
-	case "dfgk", "beam", "dfg-beam":
-		return core.DFGBeam, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want exh, dfg, or dfgk)", s)
-	}
-}
-
 func buildResponse(res *JobResult, format string, omitAbstracted bool) (*AbstractResponse, error) {
 	resp := &AbstractResponse{
 		Feasible:           res.Feasible,
@@ -558,19 +528,27 @@ func buildResponse(res *JobResult, format string, omitAbstracted bool) (*Abstrac
 		resp.Diagnostics = res.Diagnostics.String()
 	}
 	if res.Abstracted != nil && !omitAbstracted {
-		var b strings.Builder
 		var err error
-		if format == "csv" {
-			err = csvlog.Write(&b, res.Abstracted)
-		} else {
-			err = xes.Write(&b, res.Abstracted)
+		if resp.Abstracted, err = writeLog(format, res.Abstracted); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("serialising abstracted log: %w", err)
-		}
-		resp.Abstracted = b.String()
 	}
 	return resp, nil
+}
+
+// writeLog serialises an abstracted log in an upload's wire format.
+func writeLog(format string, log *eventlog.Log) (string, error) {
+	var b strings.Builder
+	var err error
+	if format == "csv" {
+		err = csvlog.Write(&b, log)
+	} else {
+		err = xes.Write(&b, log)
+	}
+	if err != nil {
+		return "", fmt.Errorf("serialising abstracted log: %w", err)
+	}
+	return b.String(), nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

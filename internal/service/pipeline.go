@@ -1,6 +1,7 @@
-// Pipeline serving: RunPipeline executes a staged abstract→discover→conform
-// run (internal/pipeline) through the service's concurrency slots, layered
-// on three caches — the per-stage state LRU here (keyed by chain keys, so a
+// Pipeline serving: POST /pipeline runs a staged
+// filter→suggest→abstract→discover→conform run (internal/pipeline) in the
+// service's concurrency slots, queued with /abstract's jobs, and layered on
+// three caches — the per-stage state LRU here (keyed by chain keys, so a
 // re-run with a changed tail stage adopts every unchanged upstream state),
 // the shared result cache + disk tier for the abstract stage, and the
 // session LRU for solver state on the (possibly filtered) working log.
@@ -14,142 +15,98 @@ import (
 
 	"gecco/internal/constraints"
 	"gecco/internal/core"
-	"gecco/internal/eventlog"
 	"gecco/internal/pipeline"
 )
 
-// PipelineRequest is one staged run: a log in its columnar form, optional
-// user constraints, and a stage list (empty = the default
-// suggest→abstract→discover→conform).
-type PipelineRequest struct {
-	Index       *eventlog.Index
-	Constraints *constraints.Set // nil or empty lets a suggest stage supply them
-	Stages      []pipeline.StageSpec
-}
-
-// PipelineOutcome reports a finished run.
-type PipelineOutcome struct {
-	Stages []pipeline.StageResult
-	State  *pipeline.State
-}
-
-// RunPipeline executes the request's stages synchronously under a
-// concurrency slot (the same pool abstraction jobs run in). Cancelling ctx
-// stops the run at the next stage boundary or solver sampling point;
-// service shutdown cancels it too.
-func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*PipelineOutcome, error) {
-	if req.Index == nil || req.Index.NumTraces() == 0 {
-		return nil, fmt.Errorf("%w: empty log", ErrInvalidRequest)
+// preparePipeline checks a /pipeline request and resolves its stages and
+// base state, all before the run queues for a slot: the log (through the
+// wire memo), the constraints, the stage list, and whether the stages can
+// run on what the request supplies. Its errors are the client's.
+func (s *Service) preparePipeline(format string, env *PipelineHTTPRequest, text *logText) (stages []pipeline.Stage, base *pipeline.State, baseKey string, err error) {
+	req := Request{Tag: format}
+	if err := s.openLog(&req, text); err != nil {
+		return nil, nil, "", err
 	}
-	stages, err := pipeline.BuildStages(req.Stages)
+	set, err := constraints.ParseSet(env.Constraints)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		return nil, nil, "", fmt.Errorf("parsing constraints: %w", err)
 	}
-	set := req.Constraints
-	if set == nil {
-		set = constraints.NewSet()
+	req.Constraints = set
+	if err := validate(req); err != nil {
+		return nil, nil, "", err
 	}
-	digest := IndexDigest(req.Index)
-	base := &pipeline.State{IndexKey: digest}
+	if stages, err = pipeline.BuildStages(env.Stages); err != nil {
+		return nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	// The working index: a live session's when the log is already known,
+	// so that the run's cached states share it instead of pinning a second
+	// copy; otherwise the upload's own, which a wire-memo hit parses only
+	// now.
+	base = &pipeline.State{IndexKey: req.logDigest()}
 	if set.Len() > 0 {
 		base.Constraints = set
 	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	if sess, ok := s.peekSession(base.IndexKey); ok {
+		base.Index = sess.Index()
+	} else if base.Index, err = req.index(); err != nil {
+		return nil, nil, "", err
 	}
-	s.active.Add(1)
-	s.mu.Unlock()
-	defer s.active.Done()
-
-	// Tie the run to both the caller and the service lifetime.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-runCtx.Done():
-		return nil, fmt.Errorf("service: %w", runCtx.Err())
-	}
-	defer func() { <-s.sem }()
-
-	// The working index: a live session's when the log is already known,
-	// so that the run's cached states share it instead of pinning a second
-	// copy; otherwise the upload's own.
-	base.Index = req.Index
-	if s.sessions != nil {
-		if sess, ok := s.sessions.peek(digest); ok {
-			base.Index = sess.Index()
-		}
-	}
-
-	// Fail fast on an unsatisfiable stage list before burning a slot on
-	// partial work; Run re-validates, but this keeps the error a 400.
 	if err := pipeline.Validate(stages, base); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		return nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
+	return stages, base, pipeline.BaseKey(base.IndexKey, canonicalConstraints(set)), nil
+}
 
-	env, flush := s.pipelineEnv()
-	baseKey := pipeline.BaseKey(digest, canonicalConstraints(set))
-	out, err := pipeline.Run(runCtx, stages, base, baseKey, env)
-	flush()
+// runPipeline queues a prepared run for a concurrency slot, in the queue
+// /abstract's jobs wait in, and runs its stages there. Cancelling ctx stops
+// the run at the next stage boundary or solver sampling point; service
+// shutdown cancels it too.
+func (s *Service) runPipeline(ctx context.Context, stages []pipeline.Stage, base *pipeline.State, baseKey string) (*pipeline.Result, error) {
+	s.mu.Lock()
+	err := ErrClosed
+	if !s.closed {
+		err = s.queueLocked()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	defer s.active.Done()
+	ctx, cancel := s.runContext(ctx)
+	defer cancel()
+	release, err := s.acquire(ctx, true)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	defer release()
+
+	env := &pipeline.Env{Abstract: s.solveStage}
+	if s.pipe != nil {
+		env.Cache = s.pipe
+	}
+	out, err := pipeline.Run(ctx, stages, base, baseKey, env)
 	if err != nil {
 		return nil, err
 	}
 	s.pipelineRuns.Add(1)
-	return &PipelineOutcome{Stages: out.Stages, State: out.State}, nil
+	return out, nil
 }
 
-// pipelineEnv assembles the engine hooks over the service's caches. The
-// returned flush applies the session memo-growth bound to every session the
-// run acquired (mirroring solve()'s retirement of overgrown sessions).
-func (s *Service) pipelineEnv() (*pipeline.Env, func()) {
-	env := &pipeline.Env{}
-	if s.pipe != nil {
-		env.Cache = s.pipe
+// solveStage is the pipeline.Env.Abstract hook: an abstract stage is served
+// from the result cache and its disk tier when its working log, constraints
+// and config were solved before, and otherwise solves as a job does, on
+// the session LRU's session for the working log's key.
+func (s *Service) solveStage(ctx context.Context, in *pipeline.State, cfg core.Config) (*core.Result, error) {
+	req := Request{Index: in.Index, Constraints: in.Constraints, Config: cfg, digest: in.IndexKey}
+	key, res, ok := s.lookup(&req)
+	if ok {
+		return res, nil
 	}
-	env.LookupAbstract = func(indexKey string, set *constraints.Set, cfg core.Config) (*core.Result, bool) {
-		if !Cacheable(cfg) {
-			return nil, false
-		}
-		return s.cache.Get(requestKey(indexKey, set, cfg))
+	res, err := s.solve(ctx, req, true)
+	if err == nil && key != "" {
+		s.publish(key, res)
 	}
-	env.StoreAbstract = func(indexKey string, set *constraints.Set, cfg core.Config, res *core.Result) {
-		if !Cacheable(cfg) {
-			return
-		}
-		key := requestKey(indexKey, set, cfg)
-		s.cache.Put(key, res)
-		if s.store != nil {
-			s.store.saveResultAsync(key, res)
-		}
-	}
-	type held struct {
-		key  string
-		sess *core.Session
-	}
-	var acquired []held
-	if s.sessions != nil {
-		env.AcquireSession = func(ctx context.Context, key string, x *eventlog.Index) (*core.Session, error) {
-			sess, err := s.sessions.getOrCreate(key, func() (*eventlog.Index, error) { return x, nil })
-			if err == nil {
-				acquired = append(acquired, held{key, sess})
-			}
-			return sess, err
-		}
-	}
-	flush := func() {
-		for _, h := range acquired {
-			if h.sess.MemoSize() > s.opts.SessionMemoLimit {
-				s.sessions.drop(h.key, h.sess)
-			}
-		}
-	}
-	return env, flush
+	return res, err
 }
 
 // StageCounters is one stage kind's cache accounting.

@@ -1,22 +1,16 @@
 // HTTP surface of the staged pipeline engine: POST /pipeline accepts a raw
 // XES/CSV log (or the JSON envelope) plus a stage list and runs it through
-// RunPipeline. The endpoint mirrors /abstract's conventions — load shedding,
-// dual request forms, error-status mapping — so clients can switch between
-// one-shot solves and full pipelines without relearning the API.
+// the service. The endpoint shares /abstract's request path — load
+// shedding, dual request forms, the wire memo, the queue and the
+// error-status mapping — so clients can switch between one-shot solves and
+// full pipelines without relearning the API.
 package service
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"gecco/internal/conformance"
-	"gecco/internal/constraints"
-	"gecco/internal/csvlog"
 	"gecco/internal/pipeline"
-	"gecco/internal/xes"
 )
 
 // PipelineHTTPRequest is the JSON envelope accepted by POST /pipeline. Raw
@@ -101,10 +95,9 @@ type PipelineResponse struct {
 
 func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 	// Same load-shed as /abstract: reject before parsing up to 64 MiB when
-	// no slot could run the stages anyway.
+	// the queue is full anyway.
 	if s.Busy() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, ErrBusy)
+		writeRunError(w, r, ErrBusy)
 		return
 	}
 	env, text, err := decodePipelineRequest(r)
@@ -112,31 +105,19 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, format, err := buildPipelineRequest(env, text)
+	format, err := uploadFormat(env.Format, text)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	out, err := s.RunPipeline(r.Context(), req)
+	stages, base, baseKey, err := s.preparePipeline(format, env, text)
 	if err != nil {
-		if errors.Is(err, ErrInvalidRequest) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if r.Context().Err() != nil {
-				status = 499 // client closed request
-			} else {
-				status = http.StatusServiceUnavailable
-			}
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	out, err := s.runPipeline(r.Context(), stages, base, baseKey)
+	if err != nil {
+		writeRunError(w, r, err)
 		return
 	}
 	resp, err := buildPipelineResponse(out, format, env.IncludeAbstracted)
@@ -173,25 +154,7 @@ func decodePipelineRequest(r *http.Request) (*PipelineHTTPRequest, *logText, err
 	}, plainText(body), nil
 }
 
-// buildPipelineRequest parses the envelope into a service pipeline request
-// plus the format to serialise any returned log in.
-func buildPipelineRequest(env *PipelineHTTPRequest, text *logText) (PipelineRequest, string, error) {
-	format, err := uploadFormat(env.Format, text)
-	if err != nil {
-		return PipelineRequest{}, "", err
-	}
-	x, err := parseUpload(format, text.bytes())
-	if err != nil {
-		return PipelineRequest{}, "", err
-	}
-	set, err := constraints.ParseSet(env.Constraints)
-	if err != nil {
-		return PipelineRequest{}, "", fmt.Errorf("parsing constraints: %w", err)
-	}
-	return PipelineRequest{Index: x, Constraints: set, Stages: env.Stages}, format, nil
-}
-
-func buildPipelineResponse(out *PipelineOutcome, format string, includeAbstracted bool) (*PipelineResponse, error) {
+func buildPipelineResponse(out *pipeline.Result, format string, includeAbstracted bool) (*PipelineResponse, error) {
 	resp := &PipelineResponse{Stages: make([]PipelineStageStatus, len(out.Stages))}
 	for i, st := range out.Stages {
 		resp.Stages[i] = PipelineStageStatus{
@@ -226,17 +189,10 @@ func buildPipelineResponse(out *PipelineOutcome, format string, includeAbstracte
 		}
 		resp.Abstraction = abs
 		if includeAbstracted && res.Feasible && res.Abstracted != nil {
-			var b strings.Builder
 			var err error
-			if format == "csv" {
-				err = csvlog.Write(&b, res.Abstracted)
-			} else {
-				err = xes.Write(&b, res.Abstracted)
+			if resp.Abstracted, err = writeLog(format, res.Abstracted); err != nil {
+				return nil, err
 			}
-			if err != nil {
-				return nil, fmt.Errorf("serialising abstracted log: %w", err)
-			}
-			resp.Abstracted = b.String()
 		}
 	}
 	if m := state.Model; m != nil {

@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 )
 
 func postPipeline(t *testing.T, srv *httptest.Server, contentType, body string, params url.Values) (*http.Response, PipelineResponse) {
@@ -247,5 +249,98 @@ func TestHTTPPipelineInvalidRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// A stage list that cannot run is a 400 before the request waits for a
+// slot, so it is not held behind running jobs.
+func TestHTTPPipelineChecksBeforeWaiting(t *testing.T) {
+	srv, svc := newTestServer(t, Options{MaxConcurrent: 1})
+	holdSlot(t, svc)
+	client := &http.Client{Timeout: time.Second}
+	u := srv.URL + "/pipeline?" + url.Values{"stages": {`[{"stage":"conform"}]`}}.Encode()
+	resp, err := client.Post(u, "application/xml", strings.NewReader(runningExampleXES(t)))
+	if err != nil {
+		t.Fatalf("no answer within 1 s while the slot is held: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// /pipeline waits for a slot in the queue /abstract's jobs wait in: with the
+// one slot held and room for one waiter, a waiting /pipeline fills the
+// queue, and the next /pipeline is shed exactly as /abstract is.
+func TestHTTPPipelineSharesQueue(t *testing.T) {
+	srv, svc := newTestServer(t, Options{MaxConcurrent: 1, MaxQueued: 1})
+	blocker := holdSlot(t, svc)
+	logXES := runningExampleXES(t)
+	u := "?" + url.Values{"constraints": {"distinct(role) <= 1"}}.Encode()
+	waited := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/pipeline"+u, "application/xml", strings.NewReader(logXES))
+		if err != nil {
+			t.Error(err)
+			waited <- 0
+			return
+		}
+		resp.Body.Close()
+		waited <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for !svc.Busy() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !svc.Busy() {
+		t.Fatal("a /pipeline waiting for the slot does not count in the queue")
+	}
+	var bodies []string
+	for _, path := range []string{"/pipeline", "/abstract"} {
+		resp, err := http.Post(srv.URL+path+u, "application/xml", strings.NewReader(logXES))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("%s with a full queue: status %d, Retry-After %q", path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		bodies = append(bodies, string(body))
+	}
+	if bodies[0] != bodies[1] || !strings.Contains(bodies[0], ErrBusy.Error()) {
+		t.Fatalf("/pipeline shed with %s, /abstract with %s", bodies[0], bodies[1])
+	}
+	if _, err := svc.Cancel(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if status := <-waited; status != http.StatusOK {
+		t.Fatalf("the waiting /pipeline ended with %d, want 200", status)
+	}
+}
+
+// /pipeline reads its log through the wire memo, as /abstract does: the
+// upload teaches the memo its digest, and a byte-identical re-upload, which
+// then parses nothing, gets the same response.
+func TestHTTPPipelineWireMemo(t *testing.T) {
+	srv, svc := newTestServer(t, Options{NoCache: true})
+	logXES := runningExampleXES(t)
+	params := url.Values{"constraints": {"distinct(role) <= 1"}}
+	var outs [][]byte
+	for i := 0; i < 2; i++ {
+		resp, out := postPipeline(t, srv, "application/xml", logXES, params)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload %d: status %d", i+1, resp.StatusCode)
+		}
+		if _, ok := svc.wire.get(wireKey("xes", logXES)); !ok {
+			t.Fatalf("upload %d left the wire memo without the log", i+1)
+		}
+		outs = append(outs, goldenJSON(t, out))
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("re-upload answered differently:\n%s\n%s", outs[0], outs[1])
 	}
 }

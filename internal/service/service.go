@@ -47,10 +47,10 @@ type Options struct {
 	// MaxConcurrent bounds the number of pipeline runs executing at once;
 	// further jobs queue. <= 0 means one per CPU.
 	MaxConcurrent int
-	// MaxQueued bounds the jobs waiting for a concurrency slot; beyond it
-	// new non-coalescing requests are rejected with ErrBusy (HTTP 503) as
-	// backpressure — each queued job pins its parsed index in memory.
-	// <= 0 means 4×MaxConcurrent.
+	// MaxQueued bounds the jobs and /pipeline runs waiting for a
+	// concurrency slot; beyond it new non-coalescing requests are rejected
+	// with ErrBusy (HTTP 503) as backpressure — each waiting run pins its
+	// parsed index in memory. <= 0 means 4×MaxConcurrent.
 	MaxQueued int
 	// CacheCapacity is the number of results the LRU retains; <= 0 means
 	// the default (256). Use NoCache to disable caching.
@@ -442,12 +442,9 @@ func (s *Service) Do(ctx context.Context, req Request) (*JobResult, Meta, error)
 	if err := validate(req); err != nil {
 		return nil, Meta{}, err
 	}
-	key := ""
-	if Cacheable(req.Config) {
-		key = requestKey(req.logDigest(), req.Constraints, req.Config)
-		if res, ok := s.cache.Get(key); ok {
-			return res, Meta{Cached: true}, nil
-		}
+	key, res, ok := s.lookup(&req)
+	if ok {
+		return res, Meta{Cached: true}, nil
 	}
 	job, joined, cached, err := s.startOrJoin(key, &req, false)
 	if err != nil {
@@ -456,9 +453,8 @@ func (s *Service) Do(ctx context.Context, req Request) (*JobResult, Meta, error)
 	if cached != nil {
 		return cached, Meta{Cached: true}, nil
 	}
-	meta := Meta{JobID: job.id, CoalescedInto: joined}
-	res, err := s.wait(ctx, job)
-	return res, meta, err
+	res, err = s.wait(ctx, job)
+	return res, Meta{JobID: job.id, CoalescedInto: joined}, err
 }
 
 // Submit starts (or joins) a job asynchronously and returns its snapshot
@@ -468,14 +464,11 @@ func (s *Service) Submit(req Request) (JobSnapshot, error) {
 	if err := validate(req); err != nil {
 		return JobSnapshot{}, err
 	}
-	key := ""
-	if Cacheable(req.Config) {
-		key = requestKey(req.logDigest(), req.Constraints, req.Config)
-		if res, ok := s.cache.Get(key); ok {
-			// Synthesise an already-done job so the client's poll loop is
-			// uniform; it is retained like any other finished job.
-			return s.adoptCached(key, req.Tag, res), nil
-		}
+	key, res, ok := s.lookup(&req)
+	if ok {
+		// Synthesise an already-done job so the client's poll loop is
+		// uniform; it is retained like any other finished job.
+		return s.adoptCached(key, req.Tag, res), nil
 	}
 	job, _, cached, err := s.startOrJoin(key, &req, true)
 	if err != nil {
@@ -574,6 +567,17 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
+// lookup returns the request's result-cache key, "" when its config is not
+// cacheable, and its cached result when there is one.
+func (s *Service) lookup(req *Request) (key string, res *JobResult, ok bool) {
+	if !Cacheable(req.Config) {
+		return "", nil, false
+	}
+	key = requestKey(req.logDigest(), req.Constraints, req.Config)
+	res, ok = s.cache.Get(key)
+	return key, res, ok
+}
+
 func validate(req Request) error {
 	// A digest-bearing lazy request is valid without a parsed Index: the
 	// wire-digest memo only learns uploads that passed this check parsed,
@@ -617,8 +621,8 @@ func (s *Service) startOrJoin(key string, req *Request, detached bool) (job *Job
 			return nil, false, res, nil
 		}
 	}
-	if s.queued >= s.opts.MaxQueued {
-		return nil, false, nil, fmt.Errorf("%w: %d jobs waiting (max %d)", ErrBusy, s.queued, s.opts.MaxQueued)
+	if err := s.queueLocked(); err != nil {
+		return nil, false, nil, err
 	}
 	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -639,43 +643,80 @@ func (s *Service) startOrJoin(key string, req *Request, detached bool) (job *Job
 	if key != "" {
 		s.inflight[key] = job
 	}
-	s.queued++
 	s.started.Add(1)
-	s.active.Add(1)
 	go s.run(ctx, job, *req)
 	return job, false, nil, nil
 }
 
-// run executes one job: acquire a concurrency slot, run the pipeline under
+// queueLocked admits one run to the queue of runs waiting for a
+// concurrency slot, the queue Busy reports on. Beyond MaxQueued waiting
+// runs it fails with ErrBusy: each of them pins its log's index. An
+// admitted run is active until its caller calls s.active.Done. Requires
+// s.mu.
+func (s *Service) queueLocked() error {
+	if s.queued >= s.opts.MaxQueued {
+		return fmt.Errorf("%w: %d jobs waiting (max %d)", ErrBusy, s.queued, s.opts.MaxQueued)
+	}
+	s.queued++
+	s.active.Add(1)
+	return nil
+}
+
+// acquire waits for one of the MaxConcurrent run slots and returns the
+// function that frees it; it fails only when ctx ends first. A queued run,
+// one that queueLocked admitted, leaves the queue when acquire returns,
+// with or without the slot. A stream regroup waits unqueued: it belongs to
+// a stream that is already open, and is never shed.
+func (s *Service) acquire(ctx context.Context, queued bool) (release func(), err error) {
+	select {
+	case s.sem <- struct{}{}:
+		release = func() { <-s.sem }
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	if queued {
+		s.mu.Lock()
+		s.queued--
+		s.mu.Unlock()
+	}
+	return release, err
+}
+
+// runContext derives the context of a run that its caller waits for: it
+// ends when ctx does or when the service closes.
+func (s *Service) runContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
+}
+
+// run executes one job: wait for a concurrency slot, run the pipeline under
 // the job context, publish the outcome.
 func (s *Service) run(ctx context.Context, job *Job, req Request) {
 	defer s.active.Done()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.finish(job, nil, fmt.Errorf("service: %w", ctx.Err()))
+	release, err := s.acquire(ctx, true)
+	if err != nil {
+		s.finish(job, nil, fmt.Errorf("service: %w", err))
 		return
 	}
-	defer func() { <-s.sem }()
+	defer release()
 
 	s.mu.Lock()
 	job.state = StateRunning
 	job.started = time.Now()
-	s.queued--
 	s.mu.Unlock()
 
-	cfg := req.Config
-	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
-		cfg.Workers = s.opts.DefaultWorkers
-	}
-	res, err := s.solveRecovered(ctx, req, cfg)
+	res, err := s.solveRecovered(ctx, req)
 	s.finish(job, res, err)
 }
 
 // solveRecovered is solve with a panic turned into the job's error. A job
 // goroutine has no caller to recover for it, so a panic in the lazy parser
 // or the solver would otherwise take the whole process down.
-func (s *Service) solveRecovered(ctx context.Context, req Request, cfg core.Config) (res *JobResult, err error) {
+func (s *Service) solveRecovered(ctx context.Context, req Request) (res *JobResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panicked.Add(1)
@@ -683,46 +724,64 @@ func (s *Service) solveRecovered(ctx context.Context, req Request, cfg core.Conf
 			res, err = nil, fmt.Errorf("service: job panicked: %v", p)
 		}
 	}()
-	return s.solve(ctx, req, cfg)
+	return s.solve(ctx, req, true)
 }
 
-// solve runs the pipeline, reusing (or admitting) a live session for the
-// log when the session cache is enabled. Session reuse never changes the
-// result — only the constraint-independent work a job pays for — so it is
+// solve is the one solve path of jobs, pipeline abstract stages and stream
+// regroups. It runs on the live session of the request's log when the
+// session cache holds one, and with admit it adds the session it builds
+// otherwise; a stream regroup does not, as its windows are almost always
+// new logs that would churn the LRU. A session whose distance memo outgrows
+// SessionMemoLimit is retired after the solve, so a hot log on a
+// long-running server cannot accumulate memory without end; the next
+// request on the log builds a fresh one. Session reuse never changes the
+// result, only the constraint-independent work a run pays for, so it is
 // safe for cacheable and non-cacheable requests alike.
-func (s *Service) solve(ctx context.Context, req Request, cfg core.Config) (*JobResult, error) {
-	if s.sessions == nil {
-		x, err := req.index()
-		if err != nil {
-			return nil, err
-		}
-		sess, err := core.NewSessionFromIndex(x)
-		if err != nil {
-			return nil, err
-		}
-		return sess.Solve(ctx, req.Constraints, cfg)
+func (s *Service) solve(ctx context.Context, req Request, admit bool) (*JobResult, error) {
+	cfg := req.Config
+	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
+		cfg.Workers = s.opts.DefaultWorkers
 	}
-	sess, err := s.sessions.getOrCreate(req.logDigest(), req.index)
+	sess, err := s.session(&req, admit)
 	if err != nil {
 		return nil, err
 	}
-	res, solveErr := sess.Solve(ctx, req.Constraints, cfg)
-	// Memo-growth bound: retire the session once its distance memo exceeds
-	// the limit, so a hot log on a long-running server cannot accumulate
-	// memory without end. The current result is unaffected; the next
-	// request on this log rebuilds a fresh session.
-	if sess.MemoSize() > s.opts.SessionMemoLimit {
+	res, err := sess.Solve(ctx, req.Constraints, cfg)
+	if s.sessions != nil && sess.MemoSize() > s.opts.SessionMemoLimit {
 		s.sessions.drop(req.logDigest(), sess)
 	}
-	return res, solveErr
+	return res, err
+}
+
+// session returns the session a solve of req runs on: the live one for its
+// log, or with admit one the session cache builds and keeps, or else a
+// fresh one of its own.
+func (s *Service) session(req *Request, admit bool) (*core.Session, error) {
+	if s.sessions != nil && admit {
+		return s.sessions.getOrCreate(req.logDigest(), req.index)
+	}
+	if sess, ok := s.peekSession(req.logDigest()); ok {
+		return sess, nil
+	}
+	x, err := req.index()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSessionFromIndex(x)
+}
+
+// peekSession returns a live session for the digest when one exists,
+// without admitting a new entry on miss.
+func (s *Service) peekSession(digest string) (*core.Session, bool) {
+	if s.sessions == nil {
+		return nil, false
+	}
+	return s.sessions.peek(digest)
 }
 
 // finish publishes a job outcome, fills the cache, and wakes waiters.
 func (s *Service) finish(job *Job, res *JobResult, err error) {
 	s.mu.Lock()
-	if job.state == StateQueued {
-		s.queued-- // cancelled before a slot freed up
-	}
 	job.ended = time.Now()
 	job.result = res
 	job.err = err
@@ -731,13 +790,7 @@ func (s *Service) finish(job *Job, res *JobResult, err error) {
 		job.state = StateDone
 		s.completed.Add(1)
 		if job.key != "" {
-			s.cache.Put(job.key, res)
-			if s.store != nil {
-				// Write-through to the warm tier (feasible results only;
-				// saveResultAsync screens). Async: disk IO has no business
-				// under s.mu or on the job's critical path.
-				s.store.saveResultAsync(job.key, res)
-			}
+			s.publish(job.key, res)
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		job.state = StateCancelled
@@ -751,6 +804,17 @@ func (s *Service) finish(job *Job, res *JobResult, err error) {
 	s.mu.Unlock()
 	job.cancel() // release the context's resources
 	close(job.done)
+}
+
+// publish puts a solved result in the result cache and writes it through
+// to the warm tier (feasible results only; saveResultAsync screens). The
+// write is asynchronous: disk IO has no business under s.mu or on a run's
+// critical path.
+func (s *Service) publish(key string, res *JobResult) {
+	s.cache.Put(key, res)
+	if s.store != nil {
+		s.store.saveResultAsync(key, res)
+	}
 }
 
 // evictResultsLocked drops the full results of all but the newest

@@ -240,57 +240,31 @@ func (m *streamManager) Stats() StreamStats {
 // streamPipeline is the PipelineFunc stream regroupings run under: it
 // shares the service's machinery instead of paying for a private pipeline —
 // the result cache short-circuits a window already solved under the same
-// constraints and config (replayed or duplicated streams), a live session
-// for the same window content is reused when one exists (without inserting
-// stream windows into the session LRU, which would thrash the /abstract
-// workload's entries), the run occupies one of the service's bounded
-// concurrency slots, and service shutdown cancels it mid-frontier.
+// constraints and config (replayed or duplicated streams), the run occupies
+// one of the service's bounded concurrency slots, it solves through the
+// jobs' solve path on a live session for the same window content when one
+// exists (without inserting stream windows into the session LRU, which
+// would thrash the /abstract workload's entries), and service shutdown
+// cancels it mid-frontier. Windows are transient, so their results are
+// cached but not persisted to the warm tier.
 func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set *constraints.Set, cfg core.Config) (*core.Result, error) {
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := s.runContext(ctx)
 	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
-		cfg.Workers = s.opts.DefaultWorkers
-	}
 	// Index the window once: its digest keys the result cache, and a miss
 	// without a live session solves on it.
-	x := eventlog.NewIndex(window)
-	digest := IndexDigest(x)
-	key := ""
-	if Cacheable(cfg) {
-		key = requestKey(digest, set, cfg)
-		if res, ok := s.cache.Get(key); ok {
-			return res, nil
-		}
+	req := Request{Index: eventlog.NewIndex(window), Constraints: set, Config: cfg}
+	key, res, ok := s.lookup(&req)
+	if ok {
+		return res, nil
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("service: stream regroup: %w", ctx.Err())
+	release, err := s.acquire(ctx, false)
+	if err != nil {
+		return nil, fmt.Errorf("service: stream regroup: %w", err)
 	}
-	defer func() { <-s.sem }()
-
-	sess, ok := s.peekSession(digest)
-	if !ok {
-		var err error
-		if sess, err = core.NewSessionFromIndex(x); err != nil {
-			return nil, err
-		}
-	}
-	res, err := sess.Solve(ctx, set, cfg)
+	defer release()
+	res, err = s.solve(ctx, req, false)
 	if err == nil && key != "" {
 		s.cache.Put(key, res)
 	}
 	return res, err
-}
-
-// peekSession returns a live session for the digest when one exists,
-// without admitting a new entry on miss.
-func (s *Service) peekSession(digest string) (*core.Session, bool) {
-	if s.sessions == nil {
-		return nil, false
-	}
-	return s.sessions.peek(digest)
 }

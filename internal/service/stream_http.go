@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -14,6 +13,7 @@ import (
 
 	"gecco/internal/constraints"
 	"gecco/internal/eventlog"
+	"gecco/internal/pipeline"
 	"gecco/internal/stream"
 )
 
@@ -144,15 +144,16 @@ func buildLiveStream(s *Service, name string, q url.Values) (*liveStream, error)
 		DriftThreshold: stream.DefaultDriftThreshold,
 		RunPipeline:    s.streamPipeline,
 	}
+	solver := pipeline.StageSpec{Mode: q.Get("mode")}
 	for _, p := range []struct {
 		name string
 		dst  *int
 	}{
 		{"window", &cfg.WindowSize},
 		{"refresh", &cfg.RefreshEvery},
-		{"workers", &cfg.Pipeline.Workers},
-		{"beamWidth", &cfg.Pipeline.BeamWidth},
-		{"maxChecks", &cfg.Pipeline.Budget.MaxChecks},
+		{"workers", &solver.Workers},
+		{"beamWidth", &solver.BeamWidth},
+		{"maxChecks", &solver.MaxChecks},
 	} {
 		raw := q.Get(p.name)
 		if raw == "" {
@@ -177,11 +178,9 @@ func buildLiveStream(s *Service, name string, q url.Values) (*liveStream, error)
 		}
 		cfg.DriftThreshold = f
 	}
-	mode, err := parseMode(q.Get("mode"))
-	if err != nil {
+	if cfg.Pipeline, err = solver.SolverConfig(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	cfg.Pipeline.Mode = mode
 	return &liveStream{
 		name:        name,
 		constraints: text,
@@ -209,12 +208,7 @@ func handleStream(s *Service, w http.ResponseWriter, r *http.Request) {
 		return buildLiveStream(s, name, q)
 	})
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeRunError(w, r, err)
 		return
 	}
 	if name == "" {

@@ -222,7 +222,9 @@ type CannotLink struct{ A, B string }
 
 func (CannotLink) Category() Category         { return Class }
 func (CannotLink) Monotonicity() Monotonicity { return AntiMonotonic }
-func (c CannotLink) String() string           { return fmt.Sprintf("cannotlink(%s, %s)", c.A, c.B) }
+func (c CannotLink) String() string {
+	return fmt.Sprintf("cannotlink(%s, %s)", quoteName(c.A), quoteName(c.B))
+}
 
 func (c CannotLink) HoldsGroup(ctx *ClassContext, g bitset.Set) bool {
 	a, okA := ctx.ClassID[c.A]
@@ -240,7 +242,9 @@ type MustLink struct{ A, B string }
 
 func (MustLink) Category() Category         { return Class }
 func (MustLink) Monotonicity() Monotonicity { return NonMonotonic }
-func (c MustLink) String() string           { return fmt.Sprintf("mustlink(%s, %s)", c.A, c.B) }
+func (c MustLink) String() string {
+	return fmt.Sprintf("mustlink(%s, %s)", quoteName(c.A), quoteName(c.B))
+}
 
 func (c MustLink) HoldsGroup(ctx *ClassContext, g bitset.Set) bool {
 	a, okA := ctx.ClassID[c.A]
@@ -263,7 +267,7 @@ type ClassAttrDistinct struct {
 func (ClassAttrDistinct) Category() Category           { return Class }
 func (c ClassAttrDistinct) Monotonicity() Monotonicity { return boundMonotonicity(c.Op) }
 func (c ClassAttrDistinct) String() string {
-	return fmt.Sprintf("distinct(class.%s) %s %d", c.Attr, c.Op, c.N)
+	return fmt.Sprintf("distinct(%s) %s %d", quoteName("class."+c.Attr), c.Op, c.N)
 }
 
 func (c ClassAttrDistinct) HoldsGroup(ctx *ClassContext, g bitset.Set) bool {
@@ -340,7 +344,11 @@ func (c InstanceAggregate) Monotonicity() Monotonicity {
 }
 
 func (c InstanceAggregate) String() string {
-	return fmt.Sprintf("%s(%s) %s %g", c.AggFn, c.Attr, c.Op, c.Threshold)
+	attr := quoteName(c.Attr)
+	if c.AggFn == Count && c.Attr == "" {
+		attr = "" // count() counts every event
+	}
+	return fmt.Sprintf("%s(%s) %s %g", c.AggFn, attr, c.Op, c.Threshold)
 }
 
 // holdsOne checks the constraint for a single instance, reading the
@@ -531,7 +539,7 @@ type ClassCardinality struct {
 func (ClassCardinality) Category() Category           { return Instance }
 func (c ClassCardinality) Monotonicity() Monotonicity { return boundMonotonicity(c.Op) }
 func (c ClassCardinality) String() string {
-	return fmt.Sprintf("count(%s) %s %d", c.ClassName, c.Op, c.N)
+	return fmt.Sprintf("count(%s) %s %d", quoteName(c.ClassName), c.Op, c.N)
 }
 
 //gecco:hotpath

@@ -92,6 +92,9 @@ func TestParseRoundTrip(t *testing.T) {
 		"gap <= 600", "eventsperclass <= 1",
 		"span <= 3600", "avgspan <= 3600",
 		"pct(0.95, max(cost) <= 500)",
+		"cannotlink('A_Create Application', 'O_Created')", "count('W_Call after offers') >= 1",
+		"cannotlink('a, b', c)", "cannotlink(a, 'b, c')", "mustlink('', 'x)')",
+		"distinct('org:resource') <= 1", "distinct('class.org:unit') <= 1", "sum('cost:total') <= 1e6",
 	}
 	for _, src := range srcs {
 		c, err := Parse(src)
@@ -119,6 +122,7 @@ func TestParseErrors(t *testing.T) {
 		"", "bogus", "|G| <=", "|g| ~ 3", "sum() >= 1",
 		"pct(1.5, gap <= 10)", "pct(0.5, |g| <= 3)", "gap >= 10",
 		"|g| <= 8 trailing", "sum(duration >= 101",
+		"maxinstances < -9223372036854775808",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -117,18 +118,34 @@ func (p *parser) ident() (string, error) {
 		return s, nil
 	}
 	start := p.pos
-	for p.pos < len(p.in) {
-		c := rune(p.in[p.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '-' || c == '.' {
-			p.pos++
-		} else {
-			break
-		}
+	for p.pos < len(p.in) && identByte(p.in[p.pos]) {
+		p.pos++
 	}
 	if p.pos == start {
 		return "", fmt.Errorf("expected identifier at offset %d", start)
 	}
 	return p.in[start:p.pos], nil
+}
+
+// identByte reports whether b may appear in a bare word.
+func identByte(b byte) bool {
+	c := rune(b)
+	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '-' || c == '.'
+}
+
+// quoteName renders a name so that ident reads it back: bare when it is a
+// non-empty bare word, else single-quoted. A name containing a quote has
+// no spelling, and the parser never produces one.
+func quoteName(name string) string {
+	for i := 0; i < len(name); i++ {
+		if !identByte(name[i]) {
+			return "'" + name + "'"
+		}
+	}
+	if name == "" {
+		return "''"
+	}
+	return name
 }
 
 func (p *parser) op() (Op, error) {
@@ -388,6 +405,9 @@ func (p *parser) parseConstraint() (Constraint, error) {
 			return nil, err
 		}
 		if op == LT {
+			if n == math.MinInt {
+				return nil, fmt.Errorf("maxinstances < %d has no integer bound", n)
+			}
 			n--
 		}
 		return MaxInstancesPerTrace{N: n}, nil

@@ -115,3 +115,28 @@ func TestQuickParseDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseSet holds the parser to its canonical text: for every constraint
+// c of a set ParseSet accepts, Parse(c.String()) returns c itself. The text
+// is therefore injective, so two different sets never share the canonical
+// form that result-cache and pipeline keys are built from. The seeds in
+// testdata/fuzz/FuzzParseSet cover the grammar of Parse's doc comment,
+// quoted names that hold commas, colons or nothing, and exponent
+// thresholds.
+func FuzzParseSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		set, err := ParseSet(text)
+		if err != nil {
+			return
+		}
+		for _, c := range set.All() {
+			back, err := Parse(c.String())
+			if err != nil {
+				t.Fatalf("%#v renders as %q, which does not parse: %v", c, c.String(), err)
+			}
+			if !reflect.DeepEqual(back, c) {
+				t.Fatalf("%q parses back as %#v, want %#v", c.String(), back, c)
+			}
+		}
+	})
+}

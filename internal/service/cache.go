@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -17,15 +16,8 @@ type CacheStats struct {
 
 // cacheShard is one independently locked LRU segment.
 type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-}
-
-type cacheEntry struct {
-	key   string
-	value *JobResult
+	mu  sync.Mutex
+	lru *lru[string, *JobResult]
 }
 
 // Cache is a sharded LRU keyed by request digest (log digest + canonical
@@ -52,6 +44,7 @@ func NewCache(capacity int) *Cache {
 		n = 1 // tiny caches keep exact LRU order in a single shard
 	}
 	c := &Cache{shards: make([]*cacheShard, n)}
+	evicted := func(*JobResult) { c.evictions.Add(1) }
 	for i := range c.shards {
 		per := 0
 		if capacity > 0 {
@@ -60,11 +53,7 @@ func NewCache(capacity int) *Cache {
 				per++
 			}
 		}
-		c.shards[i] = &cacheShard{
-			cap:     per,
-			entries: make(map[string]*list.Element),
-			order:   list.New(),
-		}
+		c.shards[i] = &cacheShard{lru: newLRU[string](per, evicted)}
 	}
 	return c
 }
@@ -81,32 +70,23 @@ func (c *Cache) shard(key string) *cacheShard {
 
 // Get returns the cached result for the key, bumping its recency.
 func (c *Cache) Get(key string) (*JobResult, bool) {
-	return c.get(key, true)
+	v, ok := c.getQuiet(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
 }
 
 // getQuiet is Get without touching the hit/miss counters, for the
 // service's under-lock recheck: the same logical request already counted
 // its miss on the lock-free first lookup.
 func (c *Cache) getQuiet(key string) (*JobResult, bool) {
-	return c.get(key, false)
-}
-
-func (c *Cache) get(key string, count bool) (*JobResult, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		if count {
-			c.misses.Add(1)
-		}
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	if count {
-		c.hits.Add(1)
-	}
-	return el.Value.(*cacheEntry).value, true
+	return s.lru.get(key)
 }
 
 // Put inserts or refreshes a result, evicting the least recently used entry
@@ -115,24 +95,7 @@ func (c *Cache) Put(key string, v *JobResult) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cap <= 0 {
-		return
-	}
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).value = v
-		s.order.MoveToFront(el)
-		return
-	}
-	for s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		if oldest == nil {
-			break
-		}
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, value: v})
+	s.lru.put(key, v)
 }
 
 // Len reports the number of cached entries across all shards.
@@ -140,7 +103,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += len(s.entries)
+		n += s.lru.len()
 		s.mu.Unlock()
 	}
 	return n
@@ -150,7 +113,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Stats() CacheStats {
 	capTotal := 0
 	for _, s := range c.shards {
-		capTotal += s.cap
+		capTotal += s.lru.cap
 	}
 	return CacheStats{
 		Hits:      c.hits.Load(),

@@ -8,7 +8,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -137,25 +136,15 @@ type PipelineStats struct {
 // hit/miss counters kept per stage name for /stats.
 type stageCache struct {
 	mu       sync.Mutex
-	cap      int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	lru      *lru[string, *pipeline.State]
 	counters map[string]*StageCounters
 	evicted  int64
 }
 
-type stageItem struct {
-	key   string
-	state *pipeline.State
-}
-
 func newStageCache(capacity int) *stageCache {
-	return &stageCache{
-		cap:      capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-		counters: make(map[string]*StageCounters),
-	}
+	c := &stageCache{counters: make(map[string]*StageCounters)}
+	c.lru = newLRU[string](capacity, func(*pipeline.State) { c.evicted++ })
+	return c
 }
 
 func (c *stageCache) counterLocked(stage string) *StageCounters {
@@ -172,32 +161,20 @@ func (c *stageCache) Get(stage, key string) (*pipeline.State, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ctr := c.counterLocked(stage)
-	el, ok := c.entries[key]
-	if !ok {
+	st, ok := c.lru.get(key)
+	if ok {
+		ctr.Hits++
+	} else {
 		ctr.Misses++
-		return nil, false
 	}
-	c.order.MoveToFront(el)
-	ctr.Hits++
-	return el.Value.(*stageItem).state, true
+	return st, ok
 }
 
 // Put implements pipeline.StageCache.
 func (c *stageCache) Put(stage, key string, st *pipeline.State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*stageItem).state = st
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&stageItem{key: key, state: st})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*stageItem).key)
-		c.evicted++
-	}
+	c.lru.put(key, st)
 }
 
 // Stats snapshots the cache counters.
@@ -205,8 +182,8 @@ func (c *stageCache) Stats() PipelineStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := PipelineStats{
-		Entries:   len(c.entries),
-		Capacity:  c.cap,
+		Entries:   c.lru.len(),
+		Capacity:  c.lru.cap,
 		Evictions: c.evicted,
 		Stages:    make(map[string]StageCounters, len(c.counters)),
 	}

@@ -100,7 +100,7 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, ErrBusy)
 		return
 	}
-	env, text, err := decodePipelineRequest(r)
+	env, text, err := decodePipelineRequest(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -131,8 +131,8 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 // decodePipelineRequest accepts either the JSON envelope or a raw XES/CSV
 // body with the stage list in the stages query parameter (curl-friendly).
 // The log comes back as a logText; the envelope's Log field is left empty.
-func decodePipelineRequest(r *http.Request) (*PipelineHTTPRequest, *logText, error) {
-	body, err := readBody(r)
+func decodePipelineRequest(w http.ResponseWriter, r *http.Request) (*PipelineHTTPRequest, *logText, error) {
+	body, err := readBody(w, r)
 	if err != nil {
 		return nil, nil, err
 	}

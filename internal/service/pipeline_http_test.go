@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"gecco/internal/pipeline"
 )
 
 func postPipeline(t *testing.T, srv *httptest.Server, contentType, body string, params url.Values) (*http.Response, PipelineResponse) {
@@ -342,5 +345,36 @@ func TestHTTPPipelineWireMemo(t *testing.T) {
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatalf("re-upload answered differently:\n%s\n%s", outs[0], outs[1])
+	}
+}
+
+// TestStageCacheLRUEviction: a full stage cache drops its least recently
+// used state, a Get refreshes recency, and Stats counts the eviction and
+// each stage's hits and misses.
+func TestStageCacheLRUEviction(t *testing.T) {
+	c := newStageCache(2)
+	a, b, s := &pipeline.State{}, &pipeline.State{}, &pipeline.State{}
+	c.Put("filter", "a", a)
+	c.Put("abstract", "b", b)
+	if got, ok := c.Get("filter", "a"); !ok || got != a {
+		t.Fatal("a missing before the eviction")
+	}
+	c.Put("discover", "c", s)
+	if _, ok := c.Get("abstract", "b"); ok {
+		t.Fatal("b, the least recently used state, survived")
+	}
+	if got, ok := c.Get("filter", "a"); !ok || got != a {
+		t.Fatal("a was evicted although it was used after b")
+	}
+	if got, ok := c.Get("discover", "c"); !ok || got != s {
+		t.Fatal("c, the newest state, is missing")
+	}
+	want := PipelineStats{Entries: 2, Capacity: 2, Evictions: 1, Stages: map[string]StageCounters{
+		"filter":   {Hits: 2},
+		"abstract": {Misses: 1},
+		"discover": {Hits: 1},
+	}}
+	if got := c.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}
 }

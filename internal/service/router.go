@@ -199,7 +199,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // text, so a JSON envelope and the raw body of the same log land on the
 // same shard; the upload path computes the same hash for the wire memo.
 func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -104,6 +104,20 @@ func TestRequestKeyCanonicalisation(t *testing.T) {
 	}
 }
 
+// Two constraint sets that differ only in which name a quoted comma sits
+// in are different requests, and must not share a cache key.
+func TestRequestKeyQuotedNames(t *testing.T) {
+	setA, errA := constraints.ParseSet("cannotlink('a, b', c)")
+	setB, errB := constraints.ParseSet("cannotlink(a, 'b, c')")
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	d := LogDigest(procgen.RunningExampleTable1())
+	if requestKey(d, setA, core.Config{}) == requestKey(d, setB, core.Config{}) {
+		t.Fatal("cannotlink('a, b', c) and cannotlink(a, 'b, c') share a cache key")
+	}
+}
+
 func TestLogDigestSensitivity(t *testing.T) {
 	a := procgen.RunningExampleTable1()
 	b := procgen.RunningExampleTable1()

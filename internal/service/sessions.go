@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"errors"
 	"sort"
 	"sync"
@@ -55,9 +54,7 @@ type sessionEntry struct {
 // concurrency here.
 type sessionCache struct {
 	mu        sync.Mutex
-	cap       int
-	entries   map[string]*list.Element
-	order     *list.List // front = most recently used
+	lru       *lru[string, *sessionEntry]
 	hits      int64
 	misses    int64
 	evictions int64
@@ -70,12 +67,12 @@ type sessionCache struct {
 }
 
 func newSessionCache(capacity int, store *diskStore) *sessionCache {
-	return &sessionCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-		store:   store,
-	}
+	c := &sessionCache{store: store}
+	c.lru = newLRU[string](capacity, func(e *sessionEntry) {
+		c.evictions++
+		c.spillLocked(e)
+	})
+	return c
 }
 
 // getOrCreate returns the live session for the key — an upload's log
@@ -87,25 +84,15 @@ func newSessionCache(capacity int, store *diskStore) *sessionCache {
 // parsed at all (see the wire-digest memo).
 func (c *sessionCache) getOrCreate(digest string, load func() (*eventlog.Index, error)) (*core.Session, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[digest]; ok {
-		c.order.MoveToFront(el)
+	if e, ok := c.lru.get(digest); ok {
 		c.hits++
-		e := el.Value.(*sessionEntry)
 		c.mu.Unlock()
 		<-e.done // wait for an in-flight first build
 		return e.session, e.err
 	}
 	c.misses++
 	e := &sessionEntry{digest: digest, done: make(chan struct{})}
-	c.entries[digest] = c.order.PushFront(e)
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		old := oldest.Value.(*sessionEntry)
-		delete(c.entries, old.digest)
-		c.evictions++
-		c.spillLocked(old)
-	}
+	c.lru.put(digest, e)
 	c.mu.Unlock()
 
 	return c.build(e, digest, load)
@@ -143,9 +130,8 @@ func (c *sessionCache) build(e *sessionEntry, digest string, load func() (*event
 		c.mu.Lock()
 		e.session, e.err = sess, err
 		if err != nil {
-			if el, ok := c.entries[digest]; ok && el.Value.(*sessionEntry) == e {
-				c.order.Remove(el)
-				delete(c.entries, digest)
+			if cur, ok := c.lru.peek(digest); ok && cur == e {
+				c.lru.remove(digest)
 			}
 		}
 		c.mu.Unlock()
@@ -175,15 +161,14 @@ func (c *sessionCache) build(e *sessionEntry, digest string, load func() (*event
 // and is not.
 func (c *sessionCache) peek(digest string) (*core.Session, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[digest]
+	e, ok := c.lru.get(digest)
+	if ok {
+		c.hits++
+	}
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	e := el.Value.(*sessionEntry)
-	c.mu.Unlock()
 	<-e.done // wait for an in-flight first build
 	if e.err != nil || e.session == nil {
 		return nil, false
@@ -198,16 +183,13 @@ func (c *sessionCache) peek(digest string) (*core.Session, bool) {
 func (c *sessionCache) drop(digest string, sess *core.Session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[digest]
-	if !ok || el.Value.(*sessionEntry).session != sess {
-		return
+	if e, ok := c.lru.peek(digest); ok && e.session == sess {
+		c.lru.remove(digest)
+		c.evictions++
+		// A retired session's index is unchanged (only its memo grew), so
+		// it still warms the next rebuild.
+		c.spillLocked(e)
 	}
-	c.order.Remove(el)
-	delete(c.entries, digest)
-	c.evictions++
-	// A retired session's index is unchanged (only its memo grew), so it
-	// still warms the next rebuild.
-	c.spillLocked(el.Value.(*sessionEntry))
 }
 
 // spillAll writes every live session's index to the warm tier. Called on
@@ -218,12 +200,12 @@ func (c *sessionCache) spillAll() {
 		return
 	}
 	c.mu.Lock()
-	sessions := make([]*sessionEntry, 0, len(c.entries))
-	for _, el := range c.entries {
-		if e := el.Value.(*sessionEntry); e.session != nil {
+	sessions := make([]*sessionEntry, 0, c.lru.len())
+	c.lru.each(func(e *sessionEntry) {
+		if e.session != nil {
 			sessions = append(sessions, e)
 		}
-	}
+	})
 	c.mu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].digest < sessions[j].digest })
 	for _, e := range sessions {
@@ -241,14 +223,14 @@ func (c *sessionCache) Stats() SessionStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Capacity:  c.cap,
+		Entries:   c.lru.len(),
+		Capacity:  c.lru.cap,
 	}
-	for _, el := range c.entries {
-		if e := el.Value.(*sessionEntry); e.session != nil {
+	c.lru.each(func(e *sessionEntry) {
+		if e.session != nil {
 			st.IndexBytes += e.session.EstimatedBytes()
 			st.MappedBytes += e.session.MappedBytes()
 		}
-	}
+	})
 	return st
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -116,11 +115,9 @@ func (st *liveStream) snapshot() StreamSnapshot {
 // never registered: they live for one request and are retired when it
 // ends.
 type streamManager struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	closed  bool
+	mu     sync.Mutex
+	lru    *lru[string, *liveStream]
+	closed bool
 
 	created int64
 	closedN int64
@@ -132,11 +129,9 @@ type streamManager struct {
 }
 
 func newStreamManager(capacity int) *streamManager {
-	return &streamManager{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-	}
+	m := &streamManager{}
+	m.lru = newLRU[string](capacity, func(*liveStream) { m.evicted++ })
+	return m
 }
 
 // ensure returns the named live stream, creating it with build() when
@@ -150,10 +145,9 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 		return nil, false, ErrClosed
 	}
 	if name != "" {
-		if el, ok := m.entries[name]; ok {
-			m.order.MoveToFront(el)
+		if st, ok := m.lru.get(name); ok {
 			m.mu.Unlock()
-			return el.Value.(*liveStream), false, nil
+			return st, false, nil
 		}
 	}
 	st, err = build()
@@ -164,13 +158,7 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 	st.totals = &m.totals
 	m.created++
 	if name != "" {
-		m.entries[name] = m.order.PushFront(st)
-		for m.order.Len() > m.cap {
-			oldest := m.order.Back()
-			m.order.Remove(oldest)
-			delete(m.entries, oldest.Value.(*liveStream).name)
-			m.evicted++
-		}
+		m.lru.put(name, st)
 	}
 	m.mu.Unlock()
 	return st, true, nil
@@ -180,27 +168,18 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 func (m *streamManager) get(name string) (*liveStream, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[name]
-	if !ok {
-		return nil, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*liveStream), true
+	return m.lru.get(name)
 }
 
 // close removes a registered stream; its state is dropped.
 func (m *streamManager) close(name string) (*liveStream, bool) {
 	m.mu.Lock()
-	el, ok := m.entries[name]
-	if !ok {
-		m.mu.Unlock()
-		return nil, false
+	defer m.mu.Unlock()
+	st, ok := m.lru.remove(name)
+	if ok {
+		m.closedN++
 	}
-	m.order.Remove(el)
-	delete(m.entries, name)
-	m.closedN++
-	m.mu.Unlock()
-	return el.Value.(*liveStream), true
+	return st, ok
 }
 
 // retireAnonymous counts a one-request stream's end as a close.
@@ -215,9 +194,8 @@ func (m *streamManager) retireAnonymous(*liveStream) {
 func (m *streamManager) closeAll() {
 	m.mu.Lock()
 	m.closed = true
-	m.closedN += int64(m.order.Len())
-	m.entries = make(map[string]*list.Element)
-	m.order.Init()
+	m.closedN += int64(m.lru.len())
+	m.lru.clear()
 	m.mu.Unlock()
 }
 
@@ -226,8 +204,8 @@ func (m *streamManager) Stats() StreamStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return StreamStats{
-		Live:        m.order.Len(),
-		Capacity:    m.cap,
+		Live:        m.lru.len(),
+		Capacity:    m.lru.cap,
 		Created:     m.created,
 		Closed:      m.closedN,
 		Evicted:     m.evicted,

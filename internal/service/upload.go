@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -27,9 +28,37 @@ import (
 // maxBodyBytes caps an upload's body (64 MiB).
 const maxBodyBytes = 64 << 20
 
-// readBody reads a request body, capped at maxBodyBytes.
-func readBody(r *http.Request) ([]byte, error) {
-	return readCapped(r.Body, r.ContentLength, maxBodyBytes)
+// bodyStallTimeout is how long a body read waits for the client's next
+// bytes; a variable so that a test can lower it.
+var bodyStallTimeout = 30 * time.Second
+
+// readBody reads a request body, capped at maxBodyBytes. The server has no
+// ReadTimeout, as /stream bodies are unbounded, so every read here renews a
+// read deadline instead: a client that stops sending for bodyStallTimeout
+// fails the read rather than hold its connection for ever. A writer that
+// cannot set deadlines (http.ErrNotSupported) reads without one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rc := http.NewResponseController(w)
+	body, err := readCapped(stallReader{r.Body, rc}, r.ContentLength, maxBodyBytes)
+	if err == nil {
+		// net/http clears the deadline at the EOF of its own body but not
+		// of one the router replays, and a deadline left behind would
+		// cancel the request. After an error it stays, so that net/http's
+		// drain of the unread body cannot stall.
+		rc.SetReadDeadline(time.Time{})
+	}
+	return body, err
+}
+
+// stallReader renews the connection's read deadline before every read.
+type stallReader struct {
+	r  io.Reader
+	rc *http.ResponseController
+}
+
+func (s stallReader) Read(p []byte) (int, error) {
+	s.rc.SetReadDeadline(time.Now().Add(bodyStallTimeout))
+	return s.r.Read(p)
 }
 
 // readCapped reads rd to EOF, failing once more than limit bytes arrive.
@@ -93,8 +122,8 @@ func plainText(b []byte) *logText {
 }
 
 // digest returns the SHA-256 of the decoded text. A plain text is hashed
-// here, on first use: /pipeline never asks, and the wire memo and the
-// router ask once.
+// here, on first use: openLog asks on every /abstract and /pipeline
+// request, for the wire-memo key, and the router asks for the ring slot.
 func (t *logText) digest() [sha256.Size]byte {
 	if !t.summed {
 		t.sum, t.summed = sha256.Sum256(t.src), true

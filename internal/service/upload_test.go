@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"gecco/internal/eventlog"
@@ -377,4 +380,82 @@ func BenchmarkDecodeEnvelope(b *testing.B) {
 			_ = wireKey("xes", env.Log)
 		}
 	})
+}
+
+// lowerStallTimeout sets bodyStallTimeout for one test. It must run before
+// the test starts its servers, whose handlers read the variable; the
+// restore is registered first, so it runs after their shutdown.
+func lowerStallTimeout(t *testing.T, d time.Duration) {
+	old := bodyStallTimeout
+	t.Cleanup(func() { bodyStallTimeout = old })
+	bodyStallTimeout = d
+}
+
+// TestStalledBodyTimesOut: a client that declares a body and stops sending
+// gets the usual 400 once bodyStallTimeout passes without a byte, on both
+// buffered endpoints and on the router in front of them, instead of
+// holding its connection for ever.
+func TestStalledBodyTimesOut(t *testing.T) {
+	lowerStallTimeout(t, 200*time.Millisecond)
+	srv, _ := newTestServer(t, Options{})
+	c := newTestCluster(t, 2, Options{})
+	for _, tc := range []struct{ name, addr, path string }{
+		{"abstract", srv.Listener.Addr().String(), "/abstract"},
+		{"pipeline", srv.Listener.Addr().String(), "/pipeline"},
+		{"router", c.servers[0].Listener.Addr().String(), "/abstract"},
+	} {
+		conn, err := net.Dial("tcp", tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: gecco\r\nContent-Length: 100\r\n\r\n0123456789", tc.path)
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: no answer to a stalled body: %v", tc.name, err)
+		}
+		var out errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(out.Error, "reading body: ") {
+			t.Fatalf("%s: status %d %q (%v), want 400 \"reading body: …\"", tc.name, resp.StatusCode, out.Error, err)
+		}
+		if waited := time.Since(start); waited < bodyStallTimeout {
+			t.Fatalf("%s: answered after %v, before the %v deadline", tc.name, waited, bodyStallTimeout)
+		}
+	}
+}
+
+// TestReadBodyLeavesNoDeadline: the router replays a buffered body into the
+// local handler, which reads it through readBody again, past net/http's
+// own clearing of the deadline. A deadline left on the connection would
+// cancel the request once it passed, in the middle of the solve.
+func TestReadBodyLeavesNoDeadline(t *testing.T) {
+	lowerStallTimeout(t, 50*time.Millisecond)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err == nil {
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			_, err = readBody(w, r)
+		}
+		if err == nil {
+			time.Sleep(4 * bodyStallTimeout)
+			err = r.Context().Err()
+		}
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(srv.URL, "text/plain", strings.NewReader("a body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
 }

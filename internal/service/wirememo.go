@@ -12,7 +12,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 )
@@ -23,9 +22,8 @@ import (
 const wireMemoCapacity = 1024
 
 type wireMemo struct {
-	mu      sync.Mutex
-	entries map[wireID]*list.Element
-	order   *list.List // front = most recently used
+	mu  sync.Mutex
+	lru *lru[wireID, string]
 }
 
 // wireID is an upload's wire identity: its format and the SHA-256 of its
@@ -36,13 +34,8 @@ type wireID struct {
 	sum    [sha256.Size]byte
 }
 
-type wireEntry struct {
-	id     wireID
-	digest string
-}
-
 func newWireMemo() *wireMemo {
-	return &wireMemo{entries: make(map[wireID]*list.Element), order: list.New()}
+	return &wireMemo{lru: newLRU[wireID, string](wireMemoCapacity, nil)}
 }
 
 // wireKey is the reference for the wireID the upload path streams out of a
@@ -54,26 +47,11 @@ func wireKey(format, text string) wireID {
 func (m *wireMemo) get(id wireID) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[id]
-	if !ok {
-		return "", false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*wireEntry).digest, true
+	return m.lru.get(id)
 }
 
 func (m *wireMemo) put(id wireID, digest string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[id]; ok {
-		m.order.MoveToFront(el)
-		el.Value.(*wireEntry).digest = digest
-		return
-	}
-	m.entries[id] = m.order.PushFront(&wireEntry{id: id, digest: digest})
-	for len(m.entries) > wireMemoCapacity {
-		last := m.order.Back()
-		m.order.Remove(last)
-		delete(m.entries, last.Value.(*wireEntry).id)
-	}
+	m.lru.put(id, digest)
 }

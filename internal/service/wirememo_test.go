@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
@@ -92,5 +93,30 @@ func TestOmitAbstracted(t *testing.T) {
 	}
 	if out2.Distance != out1.Distance || len(out2.GroupClasses) != len(out1.GroupClasses) {
 		t.Fatal("lean response dropped more than the abstracted log")
+	}
+}
+
+// TestWireMemoLRUEviction: the memo holds wireMemoCapacity identities, and
+// one more drops the least recently used, not the oldest inserted.
+func TestWireMemoLRUEviction(t *testing.T) {
+	m := newWireMemo()
+	ids := make([]wireID, wireMemoCapacity+1)
+	for i := range ids {
+		ids[i] = wireKey("xes", strconv.Itoa(i))
+	}
+	for i := 0; i < wireMemoCapacity; i++ {
+		m.put(ids[i], "digest-"+strconv.Itoa(i))
+	}
+	if d, ok := m.get(ids[0]); !ok || d != "digest-0" {
+		t.Fatalf("first key: %q, %v", d, ok)
+	}
+	m.put(ids[wireMemoCapacity], "digest-new")
+	if _, ok := m.get(ids[1]); ok {
+		t.Fatal("the second key, the least recently used, survived")
+	}
+	for _, i := range []int{0, 2, wireMemoCapacity} {
+		if _, ok := m.get(ids[i]); !ok {
+			t.Fatalf("key %d was evicted", i)
+		}
 	}
 }

@@ -67,15 +67,19 @@ fmt-check:
 # Fuzzing, a fixed time per target. FuzzReadXES holds the XES scanner to
 # the encoding/xml decoder it replaced, FuzzDecodeEnvelope the JSON envelope
 # decoder to json.Unmarshal, FuzzParseSpecs the stage-list parser to its
-# round-trip properties, and FuzzParseSet the constraint parser to its
-# canonical text; their seed corpora live in each package's testdata/fuzz.
-# A short minimisation budget keeps a large new input from stalling the
-# run.
+# round-trip properties, FuzzParseSet the constraint parser to its
+# canonical text, FuzzSolveCover branch and bound and the MIP to brute
+# force, and FuzzReadCSV csvlog.ReadIndex to csvlog.Read. The first four
+# keep their seed corpora in each package's testdata/fuzz; the last two
+# add theirs in code. A short minimisation budget keeps a large new input
+# from stalling the run.
 fuzz:
 	$(GO) test ./internal/xes -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/constraints -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/cover -run '^$$' -fuzz '^FuzzSolveCover$$' -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/csvlog -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s -fuzzminimizetime 2s
 
 # bench/ is a module of its own, so `go test ./...` never builds it: vet and
 # test it on its own, offline, to catch changes to the packages it calls.

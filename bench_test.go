@@ -222,7 +222,7 @@ func BenchmarkStep2MIPShare(b *testing.B) {
 	})
 	b.Run("SolverMIP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if r, st := cover.SolveMIP(prob, mip.Options{}); !r.Feasible || st != mip.Optimal {
+			if r, st := cover.SolveMIP(prob); !r.Feasible || st != mip.Optimal {
 				b.Fatal("infeasible")
 			}
 		}

@@ -22,8 +22,8 @@
 //
 // Candidate computation and distance evaluation run on a worker pool sized
 // by Config.Workers (default: one worker per CPU). Parallel runs are
-// deterministic — without a wall-clock Budget.TimeLimit, any worker count
-// produces byte-identical results; set Workers to 1 for the paper's
+// deterministic — without a wall-clock Config.SolverTimeout, any worker
+// count produces byte-identical results; set Workers to 1 for the paper's
 // sequential execution.
 //
 // # Interactive sessions
@@ -46,12 +46,15 @@
 // for long-running or served workloads. Cancelling the context — a
 // disconnected HTTP client, a server shutdown, a caller-side timeout —
 // stops the pipeline mid-frontier and mid-solve and returns an error
-// wrapping context.Canceled or context.DeadlineExceeded. A context deadline
-// composes with Config.Budget.TimeLimit: whichever expires first cuts the
-// candidate frontier, but only the context's own expiry becomes an error
-// (TimeLimit expiry returns the partial result, as in the paper's 5-hour
-// budget). With a context that is never cancelled, results are
-// byte-identical to Abstract/AbstractSet. The gecco-serve command exposes
+// wrapping context.Canceled or context.DeadlineExceeded: a context deadline
+// ends a run with an error, in Step 1 or Step 2 alike. To cut only Step 2
+// at a wall-clock limit and keep its best grouping, set
+// Config.SolverTimeout; like the paper's solver time limit, its expiry
+// returns a result, not an error. Step 1's budget, Config.Budget.MaxChecks,
+// is a count of checks, so its cut is deterministic and, as with the
+// paper's 5-hour budget, returns the candidates found so far. With a
+// context that is never cancelled, results are byte-identical to
+// Abstract/AbstractSet. The gecco-serve command exposes
 // these entry points over HTTP with a sharded result cache; see
 // internal/service.
 package gecco
@@ -124,7 +127,7 @@ func Abstract(log *Log, constraintText string, cfg Config) (*Result, error) {
 }
 
 // AbstractContext is Abstract under a context; see the package
-// documentation for the cancellation and deadline-composition semantics.
+// documentation for the cancellation and deadline semantics.
 func AbstractContext(ctx context.Context, log *Log, constraintText string, cfg Config) (*Result, error) {
 	set, err := ParseConstraints(constraintText)
 	if err != nil {
@@ -186,7 +189,7 @@ func (s *Session) Solve(constraintText string, cfg Config) (*Result, error) {
 }
 
 // SolveContext is Solve under a context, with the same cancellation and
-// deadline-composition semantics as AbstractContext.
+// deadline semantics as AbstractContext.
 func (s *Session) SolveContext(ctx context.Context, constraintText string, cfg Config) (*Result, error) {
 	set, err := ParseConstraints(constraintText)
 	if err != nil {

@@ -17,8 +17,8 @@
 //   - detmap:    map-iteration order must never leak into output
 //     (the PR 1 determinism pins).
 //   - wallclock: the deterministic solver packages must not read the wall
-//     clock or math/rand (budget sampling is the one, explicitly
-//     allowlisted exception).
+//     clock or math/rand; a time limit reaches a solver only as its
+//     context's deadline.
 //   - ctxflow:   long scans must be cancellable; library code must not
 //     mint its own context.Background (the PR 1/PR 2 cancellation work).
 //   - oncesafe:  a sync.Once closure must publish every captured result on

@@ -11,10 +11,11 @@ import (
 // guarantee is byte-identical abstraction output for the same input under
 // any worker count; a solver that consults the clock or a PRNG can return
 // different groupings between runs, which no determinism test can pin
-// reliably. Time-budget sampling is the one legitimate exception — it lives
-// in internal/par, which is allowlisted wholesale, and at the explicitly
-// gecco-allow'ed deadline checks of the candidate/cover/mip budgets, where
-// time limits are an opt-in escape hatch the caller chose over determinism.
+// reliably. A solver learns the time only from its context: a deadline the
+// caller chose over determinism arrives as ctx.Err(), which the solvers
+// sample exactly as they sample cancellation, so no solver package needs
+// a clock read or a gecco-allow directive for it. internal/par is
+// allowlisted wholesale.
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbids wall-clock and PRNG use in the deterministic solver packages",

@@ -20,7 +20,6 @@ import (
 	"context"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"gecco/internal/bitset"
 	"gecco/internal/constraints"
@@ -30,18 +29,20 @@ import (
 	"gecco/internal/par"
 )
 
-// Budget caps candidate computation. Zero values mean "unlimited".
+// Budget caps candidate computation. Zero means "unlimited". MaxChecks is
+// a count, not a clock, so a budgeted run cuts at the same point for any
+// worker count; time reaches the search only through the caller's context.
 type Budget struct {
-	MaxChecks int           // maximum groups/paths assessed
-	TimeLimit time.Duration // wall-clock limit
+	MaxChecks int // maximum groups/paths assessed
 }
 
-// deadlineSampleInterval is how often (in checks) the wall clock is
-// consulted against TimeLimit. The deadline is also tested on the very
-// first check after start(), so a budget that is already expired — or a
-// single slow constraint evaluation right at the start — cannot run an
-// entire sampling window past the limit. Between samples the overshoot is
-// bounded by the cost of deadlineSampleInterval constraint checks.
+// deadlineSampleInterval is how often (in checks) the context is consulted
+// for cancellation or an expired deadline. The context is also tested on
+// the very first check after start(), so a context that ends before any
+// work — or a single slow constraint evaluation right at the start —
+// cannot run an entire sampling window past its end. Between samples the
+// overshoot is bounded by the cost of deadlineSampleInterval constraint
+// checks.
 const deadlineSampleInterval = 64
 
 // budgetState tracks budget consumption. It is safe for concurrent use:
@@ -49,38 +50,22 @@ const deadlineSampleInterval = 64
 // the budget concurrently. Consumption is two-phase: grant reserves a whole
 // frontier against MaxChecks up front (making the MaxChecks cut
 // deterministic for any worker count), then each worker calls tick per item
-// it actually evaluates (counting real work and sampling the deadline).
-// MaxChecks exhaustion and deadline expiry are tracked separately: a short
+// it actually evaluates (counting real work and sampling the context).
+// MaxChecks exhaustion and context expiry are tracked separately: a short
 // grant must not stop workers from evaluating the items already granted —
 // that is what reproduces the sequential semantics of "assess exactly
 // MaxChecks groups, then stop".
-//
-// The state also composes the caller's context with TimeLimit: the earlier
-// of the two deadlines cuts the frontier, and cancellation is sampled at
-// the same points as the deadline, so a cancelled context stops the
-// enumeration mid-frontier within deadlineSampleInterval evaluations.
 type budgetState struct {
 	Budget
 	ctx       context.Context
-	deadline  time.Time
 	reserved  atomic.Int64 // checks reserved against MaxChecks
-	ticks     atomic.Int64 // items actually evaluated (Checks reporting, deadline sampling)
+	ticks     atomic.Int64 // items actually evaluated (Checks reporting, context sampling)
 	maxedOut  atomic.Bool  // MaxChecks exhausted
-	timedOut  atomic.Bool  // deadline passed
-	cancelled atomic.Bool  // ctx cancelled
+	cancelled atomic.Bool  // ctx cancelled or past its deadline
 }
 
 func (b *budgetState) start(ctx context.Context) {
 	b.ctx = ctx
-	if b.TimeLimit > 0 {
-		//lint:gecco-allow(wallclock): opt-in Budget.TimeLimit deadline; solvers are deterministic when no time limit is set
-		b.deadline = time.Now().Add(b.TimeLimit)
-	}
-	// Whichever of Budget.TimeLimit and the context deadline expires first
-	// cuts the frontier.
-	if cd, ok := ctx.Deadline(); ok && (b.deadline.IsZero() || cd.Before(b.deadline)) {
-		b.deadline = cd
-	}
 	if ctx.Err() != nil {
 		b.cancelled.Store(true)
 	}
@@ -88,31 +73,21 @@ func (b *budgetState) start(ctx context.Context) {
 
 // exceeded reports whether any budget dimension is exhausted.
 func (b *budgetState) exceeded() bool {
-	return b.maxedOut.Load() || b.timedOut.Load() || b.cancelled.Load()
+	return b.maxedOut.Load() || b.cancelled.Load()
 }
 
-// tick records one evaluated item and reports whether the deadline still
-// holds and the context is still live; on expiry or cancellation the item
-// must not be evaluated. The wall clock and the context are sampled on the
-// first tick and every deadlineSampleInterval-th thereafter.
+// tick records one evaluated item and reports whether the context is still
+// live; once it is cancelled or past its deadline the item must not be
+// evaluated. The context is sampled on the first tick and every
+// deadlineSampleInterval-th thereafter.
 func (b *budgetState) tick() bool {
-	if b.timedOut.Load() || b.cancelled.Load() {
+	if b.cancelled.Load() {
 		return false
 	}
 	t := b.ticks.Add(1)
-	sample := t == 1 || t%deadlineSampleInterval == 0
-	if sample && b.ctx != nil && b.ctx.Err() != nil {
+	if (t == 1 || t%deadlineSampleInterval == 0) && b.ctx.Err() != nil {
 		b.cancelled.Store(true)
-		b.ticks.Add(-1) // the cancelled item is not evaluated
-		return false
-	}
-	if b.deadline.IsZero() {
-		return true
-	}
-	//lint:gecco-allow(wallclock): sampled deadline probe behind the same opt-in TimeLimit; sampling keeps the hot loop clock-free
-	if sample && time.Now().After(b.deadline) {
-		b.timedOut.Store(true)
-		b.ticks.Add(-1) // the expired item is not evaluated
+		b.ticks.Add(-1) // the refused item is not evaluated
 		return false
 	}
 	return true
@@ -150,7 +125,7 @@ func (b *budgetState) grant(n int) int {
 }
 
 // checks reports the number of items actually evaluated — unlike the
-// reservation count, this stays accurate when a deadline expires after a
+// reservation count, this stays accurate when the context ends after a
 // frontier was granted but before all its items ran.
 func (b *budgetState) checks() int { return int(b.ticks.Load()) }
 
@@ -215,10 +190,9 @@ func Exhaustive(x *eventlog.Index, ev *constraints.Evaluator, budget Budget, wor
 }
 
 // ExhaustiveCtx is Exhaustive under a context: the enumeration stops
-// mid-frontier when ctx is cancelled or its deadline (composed with
-// Budget.TimeLimit, whichever is earlier) expires, returning the candidates
-// found so far with TimedOut set. With a never-cancelled context the result
-// is byte-identical to Exhaustive.
+// mid-frontier when ctx is cancelled or its deadline passes, returning the
+// candidates found so far with TimedOut set. With a never-cancelled context
+// the result is byte-identical to Exhaustive.
 func ExhaustiveCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()
@@ -348,7 +322,7 @@ func DFGBased(x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g
 }
 
 // DFGBasedCtx is DFGBased under a context; see ExhaustiveCtx for the
-// cancellation and deadline-composition semantics.
+// cancellation semantics.
 func DFGBasedCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()

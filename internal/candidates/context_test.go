@@ -6,34 +6,12 @@ import (
 	"time"
 )
 
-// The context deadline composes with Budget.TimeLimit: whichever is earlier
-// cuts the frontier.
-func TestBudgetComposesContextDeadline(t *testing.T) {
-	// Context deadline far earlier than TimeLimit wins...
-	d := time.Now().Add(50 * time.Millisecond)
-	ctx, cancel := context.WithDeadline(context.Background(), d)
-	defer cancel()
-	bs := &budgetState{Budget: Budget{TimeLimit: time.Hour}}
-	bs.start(ctx)
-	if bs.deadline.After(d) {
-		t.Fatalf("effective deadline %v, want the earlier context deadline %v", bs.deadline, d)
-	}
-	// ...and an earlier TimeLimit wins over a later context deadline.
-	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
-	defer cancel2()
-	bs2 := &budgetState{Budget: Budget{TimeLimit: time.Millisecond}}
-	bs2.start(ctx2)
-	if bs2.deadline.After(time.Now().Add(time.Minute)) {
-		t.Fatalf("effective deadline %v, want the earlier TimeLimit cut", bs2.deadline)
-	}
-}
-
 // An already-expired context refuses all work from the first grant on, so
 // an entire frontier is never reserved, let alone evaluated.
 func TestBudgetPreExpiredContextRefusesWork(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	bs := &budgetState{Budget: Budget{TimeLimit: time.Hour}}
+	bs := &budgetState{}
 	bs.start(ctx)
 	if !bs.exceeded() {
 		t.Fatal("budget not marked exceeded under a pre-expired context")

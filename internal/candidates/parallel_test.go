@@ -16,15 +16,17 @@ import (
 )
 
 // TestBudgetDeadlineTestedOnFirstCheck guards the fix for the sampling bug:
-// the old budget consulted the wall clock only when used&63 == 0, so the
+// the old budget consulted the deadline only when used&63 == 0, so the
 // first 63 checks — each potentially a slow constraint evaluation — could
-// overshoot TimeLimit arbitrarily. The deadline must now fail the very
-// first tick after start() when it has already passed, and the refused item
-// must not be counted as evaluated.
+// overshoot it arbitrarily. A context deadline that passes after start()
+// must now fail the very first tick, and the refused item must not be
+// counted as evaluated.
 func TestBudgetDeadlineTestedOnFirstCheck(t *testing.T) {
-	bs := &budgetState{Budget: Budget{TimeLimit: time.Nanosecond}}
-	bs.start(context.Background())
-	time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	bs := &budgetState{}
+	bs.start(ctx)
+	<-ctx.Done()
 	if got := bs.grant(1); got != 1 {
 		t.Fatalf("grant(1) = %d, want 1 (no MaxChecks limit)", got)
 	}

@@ -7,6 +7,7 @@ package constraints
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -716,12 +717,22 @@ func (s *Set) All() []Constraint {
 // Len returns the number of constraints in the set.
 func (s *Set) Len() int { return len(s.Grouping) + len(s.Class) + len(s.Instance) }
 
+// String renders the set canonically: its constraint texts in sorted
+// order, each followed by a newline. Declaration order does not change the
+// text, and ParseSet reads it back to an equal set, so it keys result
+// caches and pipeline chains.
 func (s *Set) String() string {
 	parts := make([]string, 0, s.Len())
 	for _, c := range s.All() {
 		parts = append(parts, c.String())
 	}
-	return strings.Join(parts, " AND ")
+	sort.Strings(parts)
+	var b strings.Builder
+	for _, p := range parts {
+		b.WriteString(p)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // Mode is the constraint-checking mode of Algorithm 1 (line 1).

@@ -480,3 +480,37 @@ func TestViolationsString(t *testing.T) {
 		t.Errorf("violations string %q", s)
 	}
 }
+
+// TestSetStringCanonical: a set's text is its sorted constraint texts, one
+// per line, so two declaration orders of one set render identically, and
+// the text parses back to a set with the same text.
+func TestSetStringCanonical(t *testing.T) {
+	lines := []string{"|g| <= 8", "distinct(role) <= 3", "count(review) >= 1", "|G| >= 2"}
+	forward, err := ParseSet(strings.Join(lines, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := make([]string, len(lines))
+	for i, l := range lines {
+		reversed[len(lines)-1-i] = l
+	}
+	backward, err := ParseSet(strings.Join(reversed, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := forward.String()
+	if got := backward.String(); got != s {
+		t.Fatalf("declaration order changed the text:\n%q\n%q", s, got)
+	}
+	const want = "count(review) >= 1\ndistinct(role) <= 3\n|G| >= 2\n|g| <= 8\n"
+	if s != want {
+		t.Fatalf("String() = %q, want %q", s, want)
+	}
+	back, err := ParseSet(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.String(); got != s {
+		t.Fatalf("ParseSet(String()).String() = %q, want %q", got, s)
+	}
+}

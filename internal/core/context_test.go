@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gecco/internal/candidates"
 	"gecco/internal/procgen"
 )
 
@@ -38,16 +37,18 @@ func TestRunContextPreExpiredDeadline(t *testing.T) {
 	}
 }
 
-// Budget.TimeLimit expiry alone is not an error: the pipeline continues
-// with the candidates found so far, exactly as without a context.
-func TestRunContextTimeLimitStillSoft(t *testing.T) {
-	cfg := Config{Mode: DFGUnbounded, Budget: candidates.Budget{TimeLimit: time.Nanosecond}}
-	res, err := RunContext(context.Background(), procgen.RunningExampleTable1(), roleSet(), cfg)
-	if err != nil {
-		t.Fatalf("TimeLimit expiry returned error %v, want partial result", err)
-	}
-	if !res.CandidatesTimedOut {
-		t.Fatal("expected CandidatesTimedOut with a nanosecond TimeLimit")
+// SolverTimeout expiry alone is not an error: Step 2 stops at its own
+// deadline and the run returns a result, with either solver.
+func TestRunContextSolverTimeoutStillSoft(t *testing.T) {
+	for _, solver := range []Solver{SolverBB, SolverMIP} {
+		cfg := Config{Mode: DFGUnbounded, Solver: solver, SolverTimeout: time.Nanosecond}
+		res, err := RunContext(context.Background(), procgen.RunningExampleTable1(), roleSet(), cfg)
+		if err != nil {
+			t.Fatalf("solver %d: SolverTimeout expiry returned error %v, want a result", solver, err)
+		}
+		if res == nil {
+			t.Fatalf("solver %d: nil result", solver)
+		}
 	}
 }
 

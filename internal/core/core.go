@@ -58,20 +58,21 @@ type Config struct {
 	Mode      Mode
 	BeamWidth int // DFGBeam only; 0 means 5·|C_L|
 	// Workers is the number of workers Step 1 and the distance hot path
-	// fan out to; <= 0 means one per CPU (runtime.NumCPU()). With no
-	// Budget.TimeLimit set, any worker count produces byte-identical
-	// results: parallel frontiers are merged in deterministic order and
-	// all memoised evaluations run exactly once. (A wall-clock limit cuts
-	// work at a timing-dependent point, so runs under TimeLimit are not
-	// reproducible at any worker count — exactly as in the sequential
-	// implementation.)
+	// fan out to; <= 0 means one per CPU (runtime.NumCPU()). Any worker
+	// count produces byte-identical results: parallel frontiers are merged
+	// in deterministic order, the Budget cut is a count of checks, and all
+	// memoised evaluations run exactly once. (SolverTimeout is the one
+	// exception: it cuts Step 2 at a timing-dependent point, so runs under
+	// it are not reproducible at any worker count.)
 	Workers  int
 	Strategy abstraction.Strategy
 	Policy   instances.Policy
 	Budget   candidates.Budget
 	Solver   Solver
-	// SolverTimeout caps Step 2; zero means none. On expiry the best
-	// incumbent found is used.
+	// SolverTimeout caps each Step 2 solve with a context deadline; zero
+	// means none. On expiry the solver stops and its best incumbent is
+	// used, so expiry is not an error. It is the only wall-clock limit in
+	// the pipeline.
 	SolverTimeout time.Duration
 	// SkipExclusiveMerge disables Algorithm 3 (ablation §VI / DESIGN.md).
 	SkipExclusiveMerge bool
@@ -138,10 +139,8 @@ func Run(log *eventlog.Log, set *constraints.Set, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run under a context. Cancellation (a disconnected client, a
-// server shutdown) stops the pipeline mid-frontier and mid-solve and returns
-// an error wrapping ctx.Err(); a context deadline composes with
-// Budget.TimeLimit — whichever expires first cuts the candidate frontier,
-// and only the context's own expiry turns into an error. A never-cancelled
+// server shutdown) or an expired deadline stops the pipeline mid-frontier
+// and mid-solve and returns an error wrapping ctx.Err(). A never-cancelled
 // context leaves results byte-identical to Run.
 //
 // RunContext builds a fresh Session per call; callers that abstract the same

@@ -28,7 +28,6 @@ import (
 	"gecco/internal/distance"
 	"gecco/internal/eventlog"
 	"gecco/internal/instances"
-	"gecco/internal/mip"
 	"gecco/internal/par"
 )
 
@@ -239,15 +238,24 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 		MinGroups:  minG,
 		MaxGroups:  maxG,
 	}
+	// Each solve gets its own SolverTimeout: the solvers stop at the
+	// deadline of the context they are given and keep their incumbent, and
+	// only the caller's own context turns into an error below.
 	solveOnce := func() (cover.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return cover.Result{}, fmt.Errorf("core: solve: %w", err)
 		}
+		sctx := ctx
+		if cfg.SolverTimeout > 0 {
+			var cancel context.CancelFunc
+			sctx, cancel = context.WithTimeout(ctx, cfg.SolverTimeout)
+			defer cancel()
+		}
 		switch cfg.Solver {
 		case SolverBB:
-			return cover.SolveBBCtx(ctx, prob, cfg.SolverTimeout), nil
+			return cover.SolveBBCtx(sctx, prob), nil
 		case SolverMIP:
-			r, _ := cover.SolveMIPCtx(ctx, prob, mip.Options{TimeLimit: cfg.SolverTimeout})
+			r, _ := cover.SolveMIPCtx(sctx, prob)
 			return r, nil
 		default:
 			return cover.Result{}, fmt.Errorf("core: unknown solver %d", cfg.Solver)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"time"
 
 	"gecco/internal/bitset"
 	"gecco/internal/lp"
@@ -69,32 +68,13 @@ type Result struct {
 // costs effectively remove a candidate.
 func SolveBB(p *Problem) Result {
 	//lint:gecco-allow(ctxflow): convenience wrapper; SolveBBCtx is the cancellable variant
-	return solveBB(context.Background(), p, time.Time{})
+	return SolveBBCtx(context.Background(), p)
 }
 
-// SolveBBTimeout is SolveBB with a wall-clock budget; on expiry the best
-// incumbent found so far (if any) is returned with Feasible reflecting it.
-func SolveBBTimeout(p *Problem, budget time.Duration) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveBBCtx is the cancellable variant
-	return SolveBBCtx(context.Background(), p, budget)
-}
-
-// SolveBBCtx is SolveBBTimeout under a context: the search additionally
-// stops — keeping the best incumbent found so far — when ctx is cancelled
-// or its deadline (composed with budget, whichever is earlier) expires.
-func SolveBBCtx(ctx context.Context, p *Problem, budget time.Duration) Result {
-	deadline := time.Time{}
-	if budget > 0 {
-		//lint:gecco-allow(wallclock): opt-in wall-clock budget of SolveBBTimeout; exact solves pass budget=0 and never read the clock
-		deadline = time.Now().Add(budget)
-	}
-	if cd, ok := ctx.Deadline(); ok && (deadline.IsZero() || cd.Before(deadline)) {
-		deadline = cd
-	}
-	return solveBB(ctx, p, deadline)
-}
-
-func solveBB(ctx context.Context, p *Problem, deadline time.Time) Result {
+// SolveBBCtx is SolveBB under a context: the search stops — keeping the
+// best incumbent found so far, with Feasible reflecting it — when ctx is
+// cancelled or its deadline passes.
+func SolveBBCtx(ctx context.Context, p *Problem) Result {
 	nC := p.NumClasses
 	// byClass[c] lists candidates covering class c, cheapest first.
 	byClass := make([][]int, nC)
@@ -173,16 +153,9 @@ func solveBB(ctx context.Context, p *Problem, deadline time.Time) Result {
 			return
 		}
 		checkCounter++
-		if checkCounter&1023 == 0 {
-			if ctx.Err() != nil {
-				timedOut = true
-				return
-			}
-			//lint:gecco-allow(wallclock): deadline probe behind the same opt-in budget; zero deadline short-circuits before the clock read
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				timedOut = true
-				return
-			}
+		if checkCounter&1023 == 0 && ctx.Err() != nil {
+			timedOut = true
+			return
 		}
 		if numUncovered == 0 {
 			if len(curSel) >= p.MinGroups && cost < bestCost {
@@ -311,14 +284,14 @@ func greedyCover(p *Problem, byClass [][]int) ([]int, float64, bool) {
 
 // SolveMIP solves the problem via the paper's MIP formulation (Eq. 3–5):
 // binary selected_g and covered_c variables with coverage-linking rows.
-func SolveMIP(p *Problem, opts mip.Options) (Result, mip.Status) {
+func SolveMIP(p *Problem) (Result, mip.Status) {
 	//lint:gecco-allow(ctxflow): convenience wrapper; SolveMIPCtx is the cancellable variant
-	return SolveMIPCtx(context.Background(), p, opts)
+	return SolveMIPCtx(context.Background(), p)
 }
 
-// SolveMIPCtx is SolveMIP under a context; cancellation aborts the
-// branch-and-bound search (see mip.SolveContext).
-func SolveMIPCtx(ctx context.Context, p *Problem, opts mip.Options) (Result, mip.Status) {
+// SolveMIPCtx is SolveMIP under a context; cancellation or an expired
+// deadline aborts the branch-and-bound search (see mip.SolveContext).
+func SolveMIPCtx(ctx context.Context, p *Problem) (Result, mip.Status) {
 	nG := len(p.Candidates)
 	nC := p.NumClasses
 	nv := nG + nC // selected_0..nG-1, covered_0..nC-1
@@ -335,18 +308,15 @@ func SolveMIPCtx(ctx context.Context, p *Problem, opts mip.Options) (Result, mip
 		prob.LP.Upper[j] = 1
 		prob.Integer[j] = true
 	}
-	infeasibleCost := false
 	for gi := 0; gi < nG; gi++ {
 		c := p.Costs[gi]
 		if math.IsInf(c, 1) {
 			// Exclude the candidate by fixing selected_gi = 0.
 			prob.LP.Upper[gi] = 0
 			c = 0
-			infeasibleCost = true
 		}
 		prob.LP.C[gi] = c
 	}
-	_ = infeasibleCost
 
 	addRow := func(coeffs map[int]float64, op lp.RelOp, rhs float64) {
 		row := make([]float64, nv)
@@ -408,8 +378,8 @@ func SolveMIPCtx(ctx context.Context, p *Problem, opts mip.Options) (Result, mip
 		addRow(sel, lp.GE, float64(p.MinGroups))
 	}
 
-	sol := mip.SolveContext(ctx, prob, opts)
-	// Like SolveBBCtx, a truncated search (time limit, cancellation, node
+	sol := mip.SolveContext(ctx, prob)
+	// Like SolveBBCtx, a truncated search (cancellation, deadline, node
 	// limit) still yields its best incumbent when one was found; only a
 	// solve with no integral solution at all is infeasible.
 	if sol.X == nil {

@@ -114,7 +114,8 @@ func TestInfiniteCostExcluded(t *testing.T) {
 	}
 }
 
-// brute enumerates all candidate subsets for a reference solution.
+// brute enumerates all candidate subsets for a reference solution,
+// skipping forbidden selections.
 func brute(p *Problem) (float64, bool) {
 	n := len(p.Candidates)
 	best := math.Inf(1)
@@ -122,7 +123,7 @@ func brute(p *Problem) (float64, bool) {
 	for mask := 0; mask < 1<<n; mask++ {
 		covered := bitset.New(p.NumClasses)
 		cost := 0.0
-		count := 0
+		var sel []int
 		ok := true
 		for i := 0; i < n && ok; i++ {
 			if mask&(1<<i) == 0 {
@@ -134,12 +135,12 @@ func brute(p *Problem) (float64, bool) {
 			}
 			covered = covered.Union(p.Candidates[i])
 			cost += p.Costs[i]
-			count++
+			sel = append(sel, i)
 		}
 		if !ok || covered.Len() != p.NumClasses {
 			continue
 		}
-		if count < p.MinGroups || (p.MaxGroups >= 0 && count > p.MaxGroups) {
+		if len(sel) < p.MinGroups || (p.MaxGroups >= 0 && len(sel) > p.MaxGroups) || p.forbidden(sel) {
 			continue
 		}
 		if cost < best {
@@ -178,7 +179,7 @@ func TestRandomisedCrossValidation(t *testing.T) {
 		}
 		ref, feasible := brute(p)
 		bb := SolveBB(p)
-		mipRes, mipStatus := SolveMIP(p, mip.Options{})
+		mipRes, mipStatus := SolveMIP(p)
 		if bb.Feasible != feasible {
 			t.Fatalf("trial %d: BB feasible=%v brute=%v", trial, bb.Feasible, feasible)
 		}
@@ -233,7 +234,7 @@ func TestForbiddenSelections(t *testing.T) {
 		t.Fatalf("second cost = %f, want 1.7", second.Cost)
 	}
 	// MIP agrees.
-	mipRes, st := SolveMIP(p, mip.Options{})
+	mipRes, st := SolveMIP(p)
 	if st != mip.Optimal || math.Abs(mipRes.Cost-1.7) > 1e-9 {
 		t.Fatalf("MIP second: status %v cost %f", st, mipRes.Cost)
 	}
@@ -293,4 +294,109 @@ func TestGreedyWarmStartConsistency(t *testing.T) {
 			t.Fatalf("trial %d: %f vs brute %f", trial, r.Cost, ref)
 		}
 	}
+}
+
+// FuzzSolveCover holds both exact solvers to brute force on small random
+// problems: branch and bound is feasible exactly when brute force is, its
+// selection is then an exact cover, and its cost and MIP's (with status
+// Optimal) equal brute force's optimum. The seeds are the hand-built
+// problems above, in decodeProblem's layout.
+func FuzzSolveCover(f *testing.F) {
+	for _, seed := range [][]byte{
+		{2, 0, 0, 0, 0, 0, 0b011, 10, 0b100, 10, 0b001, 10, 0b110, 50},              // TestSimplePartition
+		{2, 0, 0, 0, 0, 0, 0b011, 10},                                               // TestInfeasibleUncovered
+		{2, 0, 0, 0, 0, 0, 0b011, 10, 0b110, 10},                                    // TestInfeasibleOverlapOnly
+		{2, 2, 0, 2, 0, 0, 0b001, 10, 0b010, 10, 0b100, 10, 0b011, 25},              // TestMaxGroupsBound
+		{2, 1, 3, 0, 0, 0, 0b111, 10, 0b001, 10, 0b010, 10, 0b100, 10},              // TestMinGroupsBound
+		{1, 0, 0, 0, 0, 0, 0b11, 255, 0b01, 10, 0b10, 10},                           // TestInfiniteCostExcluded
+		{2, 4, 0, 0, 0b1, 0, 0b111, 10, 0b011, 9, 0b100, 8, 0b001, 10, 0b010, 10},   // TestForbiddenSelections
+		{2, 4, 0, 0, 0b110, 0, 0b111, 10, 0b011, 9, 0b100, 8, 0b001, 10, 0b010, 10}, // TestForbiddenSelections
+		{1, 4, 0, 0, 0b1, 0, 0b11, 10, 0b01, 10, 0b10, 10},                          // TestForbiddenExhaustion
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodeProblem(data)
+		ref, feasible := brute(p)
+		bb := SolveBB(p)
+		if bb.Feasible != feasible {
+			t.Fatalf("%+v: BB feasible=%v, brute %v", p, bb.Feasible, feasible)
+		}
+		mipRes, mipStatus := SolveMIP(p)
+		if !feasible {
+			if mipRes.Feasible {
+				t.Fatalf("%+v: MIP found %v for an infeasible problem", p, mipRes.Selected)
+			}
+			return
+		}
+		covered := bitset.New(p.NumClasses)
+		for _, gi := range bb.Selected {
+			if p.Candidates[gi].Intersects(covered) {
+				t.Fatalf("%+v: BB selection %v overlaps", p, bb.Selected)
+			}
+			covered = covered.Union(p.Candidates[gi])
+		}
+		if covered.Len() != p.NumClasses {
+			t.Fatalf("%+v: BB selection %v does not cover", p, bb.Selected)
+		}
+		if math.Abs(bb.Cost-ref) > 1e-6 {
+			t.Fatalf("%+v: BB cost %v, brute %v", p, bb.Cost, ref)
+		}
+		if mipStatus != mip.Optimal || math.Abs(mipRes.Cost-ref) > 1e-6 {
+			t.Fatalf("%+v: MIP status %v cost %v, brute %v", p, mipStatus, mipRes.Cost, ref)
+		}
+	})
+}
+
+// decodeProblem reads a cover problem from fuzz bytes, reading missing
+// bytes as zero. Byte 0 sets 1–6 classes. Byte 1 holds flags: bit 0 sets
+// MinGroups to byte 2, bit 1 sets MaxGroups to byte 3 (both modulo
+// classes+1; MaxGroups is otherwise unbounded), and bit 2 forbids the
+// selection whose candidates are the set bits of bytes 4–5. From byte 6 on,
+// each pair of bytes adds a candidate, up to 12: a class bit mask (empty
+// reads as class 0) and a cost of tenths, where 255 is +Inf, the cost by
+// which core's verification pass removes a candidate.
+func decodeProblem(data []byte) *Problem {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	nC := 1 + at(0)%6
+	p := &Problem{NumClasses: nC, MaxGroups: -1}
+	if at(1)&1 != 0 {
+		p.MinGroups = at(2) % (nC + 1)
+	}
+	if at(1)&2 != 0 {
+		p.MaxGroups = at(3) % (nC + 1)
+	}
+	for i := 6; i+1 < len(data) && len(p.Candidates) < 12; i += 2 {
+		mask := at(i) & (1<<nC - 1)
+		if mask == 0 {
+			mask = 1
+		}
+		g := bitset.New(nC)
+		for c := 0; c < nC; c++ {
+			if mask&(1<<c) != 0 {
+				g.Add(c)
+			}
+		}
+		cost := math.Inf(1)
+		if b := at(i + 1); b != 255 {
+			cost = float64(b) / 10
+		}
+		p.Candidates = append(p.Candidates, g)
+		p.Costs = append(p.Costs, cost)
+	}
+	if at(1)&4 != 0 {
+		sel := []int{}
+		for gi := range p.Candidates {
+			if (at(4)|at(5)<<8)&(1<<gi) != 0 {
+				sel = append(sel, gi)
+			}
+		}
+		p.Forbidden = [][]int{sel}
+	}
+	return p
 }

@@ -155,3 +155,51 @@ c2,c,2021-06-01T08:15:00Z,x,true`
 		t.Fatalf("reconstruction differs:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
+
+// FuzzReadCSV holds the index reader to the log reader on any input: both
+// fail with the same error, or the log the index reconstructs writes the
+// same CSV as Read's log. The seeds are the documents of the tests above,
+// interleaved cases, a quoted cell holding a newline, and rows with a
+// missing column.
+func FuzzReadCSV(f *testing.F) {
+	var running bytes.Buffer
+	if err := Write(&running, procgen.RunningExampleTable1()); err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range []string{
+		sampleCSV,
+		running.String(),
+		"id,act\n1,a\n1,b\n",
+		"x,y\n1,2\n",
+		"case,y\n1,2\n",
+		"case,activity,n,f,b,s\n1,a,42,1.5,true,hello\n",
+		"case,activity,role\n1,a,\n",
+		"case,activity,time,amount,flag\nc1,a,2021-06-01T08:00:00Z,5,true\nc2,a,2021-06-01T08:05:00Z,,false\nc1,b,2021-06-01T08:10:00Z,7.5,\nc2,c,2021-06-01T08:15:00Z,x,true",
+		"case,activity\nc1,a\nc2,b\nc1,c\nc3,a\nc2,a\nc1,b\n",
+		"case,activity,note\nc1,a,\"two\nlines\"\nc1,b,plain\n",
+		"case,activity,role,cost\nc1,a,clerk,3\nc1,b\nc2,a,manager\n",
+		"case,activity,role\nc1,a,clerk\nc1\nc2,b,clerk\n",
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		log, err := Read(bytes.NewReader(doc), Options{})
+		x, xerr := ReadIndex(bytes.NewReader(doc), Options{})
+		if (err == nil) != (xerr == nil) || err != nil && err.Error() != xerr.Error() {
+			t.Fatalf("Read error: %v\nReadIndex error: %v", err, xerr)
+		}
+		if err != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		if err := Write(&a, x.ReconstructLog()); err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&b, log); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("reconstruction differs:\n%s\nvs\n%s", a.String(), b.String())
+		}
+	})
+}

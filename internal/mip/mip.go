@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"time"
 
 	"gecco/internal/lp"
 )
@@ -21,23 +20,12 @@ type Problem struct {
 	Integer []bool // len NumVars; true marks an integer-constrained variable
 }
 
-// Options tunes the search.
-type Options struct {
-	MaxNodes  int           // 0 = default (1e6)
-	TimeLimit time.Duration // 0 = none
-	IntTol    float64       // integrality tolerance, default 1e-6
-	Gap       float64       // relative optimality gap to stop at, default 0
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 1_000_000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
-	return o
-}
+// maxNodes bounds the branch-and-bound nodes a solve explores before it
+// stops with NodeLimit; intTol is the integrality tolerance.
+const (
+	maxNodes = 1_000_000
+	intTol   = 1e-6
+)
 
 // Status is the outcome of a MIP solve.
 type Status int
@@ -47,14 +35,14 @@ const (
 	Infeasible
 	Unbounded
 	NodeLimit // search truncated; Solution may hold the best incumbent
-	TimeLimitHit
-	// Cancelled means the caller's context was cancelled mid-search; the
-	// Solution may still hold the best incumbent found before the cut.
+	// Cancelled means the caller's context was cancelled or passed its
+	// deadline mid-search; the Solution may still hold the best incumbent
+	// found before the cut.
 	Cancelled
 )
 
 func (s Status) String() string {
-	return [...]string{"optimal", "infeasible", "unbounded", "node-limit", "time-limit", "cancelled"}[s]
+	return [...]string{"optimal", "infeasible", "unbounded", "node-limit", "cancelled"}[s]
 }
 
 // Solution is the result of Solve.
@@ -80,26 +68,24 @@ func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(*node)) }
 func (q *nodeQueue) Pop() any          { old := *q; n := old[len(old)-1]; *q = old[:len(old)-1]; return n }
 
 // Solve runs branch and bound.
-func Solve(p *Problem, opts Options) Solution {
+func Solve(p *Problem) Solution {
 	//lint:gecco-allow(ctxflow): convenience wrapper; SolveContext is the cancellable variant
-	return SolveContext(context.Background(), p, opts)
+	return SolveContext(context.Background(), p)
 }
 
-// SolveContext is Solve under a context: cancellation is checked once per
-// branch-and-bound node (and inside each LP subsolve), aborting the search
-// with Status Cancelled while keeping the best incumbent found so far. The
-// context deadline composes with Options.TimeLimit — whichever expires
-// first stops the search.
-func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
-	opts = opts.withDefaults()
+// SolveContext is Solve under a context: the context is checked once per
+// branch-and-bound node (and inside each LP subsolve), and its cancellation
+// or deadline aborts the search with Status Cancelled while keeping the
+// best incumbent found so far.
+func SolveContext(ctx context.Context, p *Problem) Solution {
+	return solve(ctx, p, maxNodes)
+}
+
+// solve is SolveContext with an explicit node limit.
+func solve(ctx context.Context, p *Problem, nodeLimit int) Solution {
 	nv := p.LP.NumVars
 	if len(p.Integer) != nv {
 		panic("mip: Integer length mismatch")
-	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		//lint:gecco-allow(wallclock): opt-in Options.TimeLimit deadline; the default solve never reads the clock
-		deadline = time.Now().Add(opts.TimeLimit)
 	}
 
 	baseLower := make([]float64, nv)
@@ -143,7 +129,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
 
 	status := Optimal
 	for q.Len() > 0 {
-		if nodes >= opts.MaxNodes {
+		if nodes >= nodeLimit {
 			status = NodeLimit
 			break
 		}
@@ -151,13 +137,8 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
 			status = Cancelled
 			break
 		}
-		//lint:gecco-allow(wallclock): deadline probe behind the same opt-in TimeLimit; zero deadline short-circuits before the clock read
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			status = TimeLimitHit
-			break
-		}
 		n := heap.Pop(q).(*node)
-		if n.bound >= incumbentObj-opts.IntTol {
+		if n.bound >= incumbentObj-intTol {
 			continue // dominated
 		}
 		nodes++
@@ -169,11 +150,11 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
 		if sol.Status != lp.Optimal {
 			continue // infeasible or degenerate subproblem
 		}
-		if sol.Obj >= incumbentObj-opts.IntTol {
+		if sol.Obj >= incumbentObj-intTol {
 			continue
 		}
 		// Find most fractional integer variable.
-		branchVar, worst := -1, opts.IntTol
+		branchVar, worst := -1, intTol
 		for j := 0; j < nv; j++ {
 			if !p.Integer[j] {
 				continue
@@ -196,13 +177,13 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
 		// Down branch: x <= floor.
 		downHi := clone(n.upper)
 		downHi[branchVar] = floorV
-		if downHi[branchVar] >= n.lower[branchVar]-opts.IntTol {
+		if downHi[branchVar] >= n.lower[branchVar]-intTol {
 			heap.Push(q, &node{lower: n.lower, upper: downHi, bound: sol.Obj})
 		}
 		// Up branch: x >= floor+1.
 		upLo := clone(n.lower)
 		upLo[branchVar] = floorV + 1
-		if upLo[branchVar] <= n.upper[branchVar]+opts.IntTol {
+		if upLo[branchVar] <= n.upper[branchVar]+intTol {
 			heap.Push(q, &node{lower: upLo, upper: n.upper, bound: sol.Obj})
 		}
 	}

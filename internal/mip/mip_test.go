@@ -25,7 +25,7 @@ func TestKnapsack(t *testing.T) {
 		},
 		Integer: []bool{true, true, true},
 	}
-	s := Solve(p, Options{})
+	s := Solve(p)
 	if s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -49,7 +49,7 @@ func TestIntegerRounding(t *testing.T) {
 		},
 		Integer: []bool{true},
 	}
-	s := Solve(p, Options{})
+	s := Solve(p)
 	if s.Status != Optimal || s.X[0] != 3 {
 		t.Fatalf("status %v x %v", s.Status, s.X)
 	}
@@ -67,7 +67,7 @@ func TestInfeasibleMIP(t *testing.T) {
 		},
 		Integer: []bool{true},
 	}
-	if s := Solve(p, Options{}); s.Status != Infeasible {
+	if s := Solve(p); s.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", s.Status)
 	}
 }
@@ -85,7 +85,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 		},
 		Integer: []bool{true, false},
 	}
-	s := Solve(p, Options{})
+	s := Solve(p)
 	// Multiple optima exist (e.g. x=1,y=1.5 and x=2,y=0.5); check the
 	// objective and integrality only.
 	if s.Status != Optimal || !approx(s.Obj, 2.5, 1e-6) || s.X[0] != math.Round(s.X[0]) {
@@ -167,7 +167,7 @@ func TestRandomisedBinaryAgainstBruteForce(t *testing.T) {
 			p.LP.B = append(p.LP.B, math.Round(rng.Float64()*float64(nv)))
 		}
 		ref, _, feasible := bruteBinary(p)
-		s := Solve(p, Options{})
+		s := Solve(p)
 		if !feasible {
 			if s.Status != Infeasible {
 				t.Fatalf("trial %d: brute infeasible but solver says %v", trial, s.Status)
@@ -204,7 +204,7 @@ func TestNodeLimit(t *testing.T) {
 	p.LP.A = [][]float64{row}
 	p.LP.Ops = []lp.RelOp{lp.LE}
 	p.LP.B = []float64{3} // sum 2x <= 3 → at most one var at 1 plus fraction
-	s := Solve(p, Options{MaxNodes: 1})
+	s := solve(context.Background(), p, 1)
 	if s.Status != NodeLimit && s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -224,13 +224,13 @@ func TestSolveContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := SolveContext(ctx, p, Options{})
+	s := SolveContext(ctx, p)
 	if s.Status != Cancelled {
 		t.Fatalf("status %v, want cancelled", s.Status)
 	}
 	// Live context: identical to the plain solve.
-	got := SolveContext(context.Background(), p, Options{})
-	want := Solve(p, Options{})
+	got := SolveContext(context.Background(), p)
+	want := Solve(p)
 	if got.Status != want.Status || got.Obj != want.Obj {
 		t.Fatalf("context solve diverged: %v/%v vs %v/%v", got.Status, got.Obj, want.Status, want.Obj)
 	}

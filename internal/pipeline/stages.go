@@ -168,7 +168,6 @@ func (a AbstractStage) cfg() core.Config {
 	// Result caching and key chaining assume determinism; scrub the
 	// fields that would break it (Parse never sets them, this guards
 	// direct construction).
-	cfg.Budget.TimeLimit = 0
 	cfg.SolverTimeout = 0
 	cfg.CustomCandidates = nil
 	cfg.GroupingOnly = false

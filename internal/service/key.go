@@ -153,46 +153,32 @@ func (d *digester) sum() string {
 	return hex.EncodeToString(d.h.Sum(nil))
 }
 
-// canonicalConstraints renders the set as its sorted constraint strings, so
-// declaration order does not split cache entries.
-func canonicalConstraints(set *constraints.Set) string {
-	parts := make([]string, 0, set.Len())
-	for _, c := range set.All() {
-		parts = append(parts, c.String())
-	}
-	sort.Strings(parts)
-	out := ""
-	for _, p := range parts {
-		out += p + "\n"
-	}
-	return out
-}
-
 // canonicalConfig renders the result-affecting Config fields. Workers is
 // deliberately omitted: any worker count produces byte-identical results.
-// Budget.TimeLimit is included because a wall-clock cut makes the outcome
-// depend on it (and on luck — see Cacheable).
+// The "timelimit=0" text stands where a since-removed wall-clock Step 1
+// limit used to be rendered; it stays so that request keys, and the results
+// persisted under them, keep their values.
 func canonicalConfig(cfg core.Config) string {
-	return fmt.Sprintf("mode=%d beam=%d strategy=%d policy=%d maxchecks=%d timelimit=%d solver=%d solvertimeout=%d skipmerge=%t prefix=%q byattr=%q groupingonly=%t",
+	return fmt.Sprintf("mode=%d beam=%d strategy=%d policy=%d maxchecks=%d timelimit=0 solver=%d solvertimeout=%d skipmerge=%t prefix=%q byattr=%q groupingonly=%t",
 		cfg.Mode, cfg.BeamWidth, cfg.Strategy, cfg.Policy,
-		cfg.Budget.MaxChecks, cfg.Budget.TimeLimit,
+		cfg.Budget.MaxChecks,
 		cfg.Solver, cfg.SolverTimeout, cfg.SkipExclusiveMerge,
 		cfg.NamePrefix, cfg.NameByClassAttr, cfg.GroupingOnly)
 }
 
 // Cacheable reports whether a request's result is deterministic and so safe
-// to cache and to coalesce with identical in-flight requests. Wall-clock
-// budgets cut work at a timing-dependent point, and CustomCandidates is an
-// opaque function — both bypass the cache.
+// to cache and to coalesce with identical in-flight requests. A
+// SolverTimeout cuts Step 2 at a timing-dependent point, and
+// CustomCandidates is an opaque function — both bypass the cache.
 func Cacheable(cfg core.Config) bool {
-	return cfg.Budget.TimeLimit == 0 && cfg.SolverTimeout == 0 && cfg.CustomCandidates == nil
+	return cfg.SolverTimeout == 0 && cfg.CustomCandidates == nil
 }
 
 // requestKey combines the three canonical components into the cache key.
 func requestKey(logDigest string, set *constraints.Set, cfg core.Config) string {
 	h := sha256.New()
 	writeStr(h, logDigest)
-	writeStr(h, canonicalConstraints(set))
+	writeStr(h, set.String())
 	writeStr(h, canonicalConfig(cfg))
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gecco/internal/core"
 	"gecco/internal/csvlog"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
@@ -92,6 +93,17 @@ func TestLogDigestValue(t *testing.T) {
 	}
 	if got := IndexDigest(eventlog.NewIndex(log)); got != want {
 		t.Errorf("IndexDigest(RunningExampleTable1) = %s, want %s", got, want)
+	}
+}
+
+// TestRequestKeyValue holds a request key fixed: results persisted under
+// <DataDir>/results/ are named by it, so a key that changes strands every
+// stored result.
+func TestRequestKeyValue(t *testing.T) {
+	const want = "21303d6dcf53cc5894f2f2fef9b2f9aeb7aea2c527e771a4a70ef98d97b76f01"
+	set := mustSet(t, "distinct(role) <= 1\n|g| <= 8")
+	if got := requestKey(LogDigest(procgen.RunningExampleTable1()), set, core.Config{}); got != want {
+		t.Errorf("requestKey = %s, want %s", got, want)
 	}
 }
 

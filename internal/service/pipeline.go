@@ -53,7 +53,7 @@ func (s *Service) preparePipeline(format string, env *PipelineHTTPRequest, text 
 	if err := pipeline.Validate(stages, base); err != nil {
 		return nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	return stages, base, pipeline.BaseKey(base.IndexKey, canonicalConstraints(set)), nil
+	return stages, base, pipeline.BaseKey(base.IndexKey, set.String()), nil
 }
 
 // runPipeline queues a prepared run for a concurrency slot, in the queue

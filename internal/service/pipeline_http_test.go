@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gecco/internal/pipeline"
+	"gecco/internal/procgen"
 )
 
 func postPipeline(t *testing.T, srv *httptest.Server, contentType, body string, params url.Values) (*http.Response, PipelineResponse) {
@@ -112,6 +113,33 @@ func TestHTTPPipelineGoldenEndToEnd(t *testing.T) {
 	// the per-stage wall-clock fields are zeroed.
 	if a, b := goldenJSON(t, out), goldenJSON(t, run()); !bytes.Equal(a, b) {
 		t.Fatalf("pipeline output not deterministic across instances:\n%s\n%s", a, b)
+	}
+}
+
+// The chain keys /pipeline returns are the ones a library caller derives
+// from the same log and constraint set, declared in any order:
+// pipeline.ChainKey over pipeline.BaseKey(LogDigest(log), set.String()).
+// So the gecco CLI's -pipeline keys name the server's cached stages.
+func TestHTTPPipelineKeysMatchLibrary(t *testing.T) {
+	const text = "|g| <= 8\ndistinct(role) <= 1"
+	srv, _ := newTestServer(t, Options{})
+	resp, out := postPipeline(t, srv, "application/xml", runningExampleXES(t), url.Values{"constraints": {text}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %+v", resp.StatusCode, out)
+	}
+	stages, err := pipeline.BuildStages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Stages) != len(stages) {
+		t.Fatalf("ran %d stages, want %d", len(out.Stages), len(stages))
+	}
+	key := pipeline.BaseKey(LogDigest(procgen.RunningExampleTable1()), mustSet(t, text).String())
+	for i, st := range stages {
+		key = pipeline.ChainKey(key, st)
+		if out.Stages[i].Key != key {
+			t.Errorf("stage %d (%s): key %s, want %s", i, st.Name(), out.Stages[i].Key, key)
+		}
 	}
 }
 

@@ -37,50 +37,24 @@ type ShardOptions struct {
 	// Self is this node's index into Peers, or -1 for a pure coordinator
 	// that owns no keys and only forwards (its svc is nil).
 	Self int
-	// VNodes is the per-member virtual-node count; <= 0 means
-	// shard.DefaultVirtualNodes.
-	VNodes int
-	// ForwardRetries is how many times a buffered forward is attempted per
-	// peer before the peer is marked down and the ring heals to its
-	// successor; <= 0 means 3.
-	ForwardRetries int
-	// ForwardBackoff is the sleep between retries (doubling each attempt);
-	// <= 0 means 25ms.
-	ForwardBackoff time.Duration
-	// ProbeTimeout bounds the /readyz probe made before proxying a stream
-	// (whose body cannot be replayed, so the owner is probed first);
-	// <= 0 means 2s.
-	ProbeTimeout time.Duration
-	// DownCooldown is how long a peer that exhausted its retries stays out
-	// of the preference order before being tried again; <= 0 means 3s.
-	DownCooldown time.Duration
-	// Client performs forwarded requests. Defaults to a dedicated client
-	// with no overall timeout (streams are long-lived; cancellation rides
-	// the request context).
-	Client *http.Client
 }
 
-func (o ShardOptions) withDefaults() ShardOptions {
-	if len(o.MemberIDs) == 0 {
-		o.MemberIDs = o.Peers
-	}
-	if o.ForwardRetries <= 0 {
-		o.ForwardRetries = 3
-	}
-	if o.ForwardBackoff <= 0 {
-		o.ForwardBackoff = 25 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.DownCooldown <= 0 {
-		o.DownCooldown = 3 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	return o
-}
+// Forwarding bounds of a Router.
+const (
+	// forwardRetries is how many times a buffered forward is attempted per
+	// peer before the peer is marked down and the ring heals to its
+	// successor.
+	forwardRetries = 3
+	// forwardBackoff is the sleep between retries, doubling each attempt.
+	forwardBackoff = 25 * time.Millisecond
+	// probeTimeout bounds the /readyz probe made before proxying a stream
+	// (whose body cannot be replayed, so the owner is probed first) and
+	// each peer's /stats fetch.
+	probeTimeout = 2 * time.Second
+	// downCooldown is how long a peer that exhausted its retries stays out
+	// of the preference order before being tried again.
+	downCooldown = 3 * time.Second
+)
 
 // Router fronts a shard cluster: it computes each request's routing key
 // (the uploaded log's content for /abstract and /pipeline, the stream name
@@ -100,17 +74,29 @@ type Router struct {
 	addrByID map[string]string
 
 	// downMu guards downUntil: peers that exhausted forward retries are
-	// benched for DownCooldown so subsequent requests heal straight to the
+	// benched for downCooldown so subsequent requests heal straight to the
 	// ring successor instead of re-paying the connect timeout.
 	downMu    sync.Mutex
 	downUntil map[string]time.Time
+
+	// client performs forwarded requests. It has no overall timeout:
+	// streams are long-lived, and cancellation rides the request context.
+	client *http.Client
+	// The forwarding bounds start at the constants of the same names;
+	// tests shorten them right after NewRouter.
+	forwardRetries int
+	forwardBackoff time.Duration
+	probeTimeout   time.Duration
+	downCooldown   time.Duration
 }
 
 // NewRouter builds a Router for svc (nil = pure coordinator) over the given
 // peer set. An empty peer list with a non-nil svc yields a single-node
 // router that serves everything locally.
 func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
-	opts = opts.withDefaults()
+	if len(opts.MemberIDs) == 0 {
+		opts.MemberIDs = opts.Peers
+	}
 	if len(opts.MemberIDs) != len(opts.Peers) {
 		return nil, fmt.Errorf("shard: %d member IDs for %d peers", len(opts.MemberIDs), len(opts.Peers))
 	}
@@ -126,9 +112,15 @@ func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
 	rt := &Router{
 		svc:       svc,
 		opts:      opts,
-		ring:      shard.New(opts.MemberIDs, opts.VNodes),
+		ring:      shard.New(opts.MemberIDs, shard.DefaultVirtualNodes),
 		addrByID:  make(map[string]string, len(opts.Peers)),
 		downUntil: make(map[string]time.Time),
+
+		client:         &http.Client{},
+		forwardRetries: forwardRetries,
+		forwardBackoff: forwardBackoff,
+		probeTimeout:   probeTimeout,
+		downCooldown:   downCooldown,
 	}
 	if svc != nil {
 		rt.local = Handler(svc)
@@ -327,7 +319,7 @@ func (rt *Router) markDown(member string) {
 		return
 	}
 	rt.downMu.Lock()
-	rt.downUntil[member] = time.Now().Add(rt.opts.DownCooldown)
+	rt.downUntil[member] = time.Now().Add(rt.downCooldown)
 	rt.downMu.Unlock()
 }
 
@@ -355,8 +347,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, member string,
 	if !ok {
 		return false
 	}
-	backoff := rt.opts.ForwardBackoff
-	for attempt := 0; attempt < rt.opts.ForwardRetries; attempt++ {
+	backoff := rt.forwardBackoff
+	for attempt := 0; attempt < rt.forwardRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-r.Context().Done():
@@ -372,7 +364,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, member string,
 		}
 		req.Header = r.Header.Clone()
 		req.Header.Set(ForwardHeader, rt.forwarderID())
-		resp, err := rt.opts.Client.Do(req)
+		resp, err := rt.client.Do(req)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client went away; nothing to relay and no reason to
@@ -394,8 +386,8 @@ func (rt *Router) probeReady(r *http.Request, member string) bool {
 	if !ok {
 		return false
 	}
-	backoff := rt.opts.ForwardBackoff
-	for attempt := 0; attempt < rt.opts.ForwardRetries; attempt++ {
+	backoff := rt.forwardBackoff
+	for attempt := 0; attempt < rt.forwardRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-r.Context().Done():
@@ -404,14 +396,14 @@ func (rt *Router) probeReady(r *http.Request, member string) bool {
 			}
 			backoff *= 2
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), rt.probeTimeout)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/readyz", nil)
 		if err != nil {
 			cancel()
 			return false
 		}
 		req.Header.Set(ForwardHeader, rt.forwarderID())
-		resp, err := rt.opts.Client.Do(req)
+		resp, err := rt.client.Do(req)
 		cancel()
 		if err != nil {
 			continue
@@ -439,7 +431,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, member str
 	// Force chunked upload: the proxy must not buffer the request body
 	// waiting for a length it will never learn.
 	req.ContentLength = -1
-	resp, err := rt.opts.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("proxying stream to %s: %v", member, err))
 		return
@@ -534,14 +526,14 @@ func (rt *Router) fetchStats(r *http.Request, member string) (Stats, error) {
 	if !ok {
 		return Stats{}, fmt.Errorf("unknown member %s", member)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/stats?scope=local", nil)
 	if err != nil {
 		return Stats{}, err
 	}
 	req.Header.Set(ForwardHeader, rt.forwarderID())
-	resp, err := rt.opts.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -51,17 +51,17 @@ func newTestCluster(t *testing.T, n int, base Options) *testCluster {
 	}
 	for i := 0; i < n; i++ {
 		rt, err := NewRouter(c.svcs[i], ShardOptions{
-			Peers:          peers,
-			MemberIDs:      c.ids,
-			Self:           i,
-			ForwardRetries: 2,
-			ForwardBackoff: 5 * time.Millisecond,
-			ProbeTimeout:   time.Second,
-			DownCooldown:   200 * time.Millisecond,
+			Peers:     peers,
+			MemberIDs: c.ids,
+			Self:      i,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt.forwardRetries = 2
+		rt.forwardBackoff = 5 * time.Millisecond
+		rt.probeTimeout = time.Second
+		rt.downCooldown = 200 * time.Millisecond
 		c.routers[i] = rt
 	}
 	t.Cleanup(func() {
@@ -539,15 +539,15 @@ func bytes_ContainsErrorLine(raw []byte) bool {
 func TestRouterCoordinator(t *testing.T) {
 	c := newTestCluster(t, 2, Options{})
 	coord, err := NewRouter(nil, ShardOptions{
-		Peers:          []string{c.servers[0].URL, c.servers[1].URL},
-		MemberIDs:      c.ids,
-		Self:           -1,
-		ForwardRetries: 2,
-		ForwardBackoff: 5 * time.Millisecond,
+		Peers:     []string{c.servers[0].URL, c.servers[1].URL},
+		MemberIDs: c.ids,
+		Self:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord.forwardRetries = 2
+	coord.forwardBackoff = 5 * time.Millisecond
 	front := httptest.NewServer(coord)
 	defer front.Close()
 
@@ -634,15 +634,15 @@ func TestRouterStatsCapped(t *testing.T) {
 // cleanly, rather than forwarding it to the owner.
 func TestRouterRejectsMalformedEnvelope(t *testing.T) {
 	coord, err := NewRouter(nil, ShardOptions{
-		Peers:          []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
-		MemberIDs:      []string{"shard-0", "shard-1"},
-		Self:           -1,
-		ForwardRetries: 1,
-		ForwardBackoff: time.Millisecond,
+		Peers:     []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		MemberIDs: []string{"shard-0", "shard-1"},
+		Self:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord.forwardRetries = 1
+	coord.forwardBackoff = time.Millisecond
 	for _, body := range []string{`{"mode":tru,"log":"<log/>"}`, `{"log":"<log/>","mode":}`} {
 		var env struct {
 			Log string `json:"log"`

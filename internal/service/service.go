@@ -55,17 +55,9 @@ type Options struct {
 	// CacheCapacity is the number of results the LRU retains; <= 0 means
 	// the default (256). Use NoCache to disable caching.
 	CacheCapacity int
-	// NoCache disables the result cache entirely.
+	// NoCache disables the result cache and the /pipeline stage cache
+	// entirely.
 	NoCache bool
-	// MaxRetainedJobs bounds the finished jobs kept for GET /jobs/{id}
-	// lookups; the oldest finished jobs are dropped first. <= 0 means 1024.
-	MaxRetainedJobs int
-	// MaxRetainedResults bounds how many of those finished jobs keep their
-	// full result (which includes the abstracted log — potentially tens of
-	// MiB each). Older finished jobs keep their metadata but drop the
-	// result; cacheable ones remain servable from the LRU by re-POSTing.
-	// <= 0 means 64.
-	MaxRetainedResults int
 	// SessionCapacity bounds the LRU of live per-log sessions (index, DFG,
 	// warm distance memo) kept under the result cache, so a repeat log with
 	// fresh constraints skips the constraint-independent analysis. Each
@@ -75,14 +67,6 @@ type Options struct {
 	// NoSessions disables the session cache: every job rebuilds its log's
 	// analysis state from scratch, as before the session engine.
 	NoSessions bool
-	// SessionMemoLimit retires a live session once its distance memo holds
-	// more than this many entries. The memo grows with every distinct
-	// candidate group ever costed and is never evicted — the price of warm
-	// solves — so without a bound, a hot log's session on a long-running
-	// server would grow monotonically. A retired session is simply dropped;
-	// the next request on that log rebuilds a fresh one. <= 0 means the
-	// default (1<<18 ≈ 262k entries, tens of MB on typical class counts).
-	SessionMemoLimit int
 	// MaxStreams bounds the named online-abstractor states kept live for
 	// POST /stream (each pins a window of traces plus its grouping).
 	// Creating a stream beyond the bound evicts the least recently used
@@ -90,10 +74,6 @@ type Options struct {
 	MaxStreams int
 	// NoStreams disables the streaming workload entirely.
 	NoStreams bool
-	// PipelineCacheCapacity bounds the per-stage state LRU behind POST
-	// /pipeline (each entry pins the indexes a pipeline state carries).
-	// <= 0 means 64; NoCache disables it together with the result cache.
-	PipelineCacheCapacity int
 	// DefaultWorkers is the per-job worker count applied when a request
 	// leaves Config.Workers at 0; 0 keeps the pipeline default (all CPUs).
 	DefaultWorkers int
@@ -127,20 +107,11 @@ func (o Options) withDefaults() Options {
 	if o.NoCache {
 		o.CacheCapacity = 0
 	}
-	if o.MaxRetainedJobs <= 0 {
-		o.MaxRetainedJobs = 1024
-	}
-	if o.MaxRetainedResults <= 0 {
-		o.MaxRetainedResults = 64
-	}
 	if o.SessionCapacity <= 0 {
 		o.SessionCapacity = 16
 	}
 	if o.NoSessions {
 		o.SessionCapacity = 0
-	}
-	if o.SessionMemoLimit <= 0 {
-		o.SessionMemoLimit = 1 << 18
 	}
 	if o.MaxStreams <= 0 {
 		o.MaxStreams = 64
@@ -148,14 +119,31 @@ func (o Options) withDefaults() Options {
 	if o.NoStreams {
 		o.MaxStreams = 0
 	}
-	if o.PipelineCacheCapacity <= 0 {
-		o.PipelineCacheCapacity = 64
-	}
-	if o.NoCache {
-		o.PipelineCacheCapacity = 0
-	}
 	return o
 }
+
+// Fixed bounds of the serving layer's bookkeeping.
+const (
+	// maxRetainedJobs bounds the finished jobs kept for GET /jobs/{id}
+	// lookups; the oldest finished jobs are dropped first.
+	maxRetainedJobs = 1024
+	// maxRetainedResults bounds how many of those finished jobs keep their
+	// full result (which includes the abstracted log — potentially tens of
+	// MiB each). Older finished jobs keep their metadata but drop the
+	// result; cacheable ones remain servable from the LRU by re-POSTing.
+	maxRetainedResults = 64
+	// sessionMemoLimit retires a live session once its distance memo holds
+	// more than this many entries (about 262k, tens of MB on typical class
+	// counts). The memo grows with every distinct candidate group ever
+	// costed and is never evicted — the price of warm solves — so without a
+	// bound, a hot log's session on a long-running server would grow
+	// monotonically. A retired session is simply dropped; the next request
+	// on that log rebuilds a fresh one.
+	sessionMemoLimit = 1 << 18
+	// pipelineCacheCapacity bounds the per-stage state LRU behind POST
+	// /pipeline; each entry pins the indexes a pipeline state carries.
+	pipelineCacheCapacity = 64
+)
 
 // Request is one abstraction problem: a log in its columnar form, a parsed
 // constraint set, and a pipeline configuration.
@@ -314,6 +302,11 @@ type Service struct {
 	wire     *wireMemo      // upload wire identity -> canonical log digest
 	sem      chan struct{}
 
+	// maxRetainedResults and sessionMemoLimit start at the constants of
+	// the same names; tests lower them right after New.
+	maxRetainedResults int
+	sessionMemoLimit   int
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -368,8 +361,8 @@ func New(opts Options) *Service {
 		store.loadResults(cache)
 	}
 	var pipe *stageCache
-	if opts.PipelineCacheCapacity > 0 {
-		pipe = newStageCache(opts.PipelineCacheCapacity)
+	if !opts.NoCache {
+		pipe = newStageCache(pipelineCacheCapacity)
 	}
 	return &Service{
 		opts:       opts,
@@ -384,6 +377,9 @@ func New(opts Options) *Service {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
+
+		maxRetainedResults: maxRetainedResults,
+		sessionMemoLimit:   sessionMemoLimit,
 	}
 }
 
@@ -732,7 +728,7 @@ func (s *Service) solveRecovered(ctx context.Context, req Request) (res *JobResu
 // session cache holds one, and with admit it adds the session it builds
 // otherwise; a stream regroup does not, as its windows are almost always
 // new logs that would churn the LRU. A session whose distance memo outgrows
-// SessionMemoLimit is retired after the solve, so a hot log on a
+// sessionMemoLimit is retired after the solve, so a hot log on a
 // long-running server cannot accumulate memory without end; the next
 // request on the log builds a fresh one. Session reuse never changes the
 // result, only the constraint-independent work a run pays for, so it is
@@ -747,7 +743,7 @@ func (s *Service) solve(ctx context.Context, req Request, admit bool) (*JobResul
 		return nil, err
 	}
 	res, err := sess.Solve(ctx, req.Constraints, cfg)
-	if s.sessions != nil && sess.MemoSize() > s.opts.SessionMemoLimit {
+	if s.sessions != nil && sess.MemoSize() > s.sessionMemoLimit {
 		s.sessions.drop(req.logDigest(), sess)
 	}
 	return res, err
@@ -818,7 +814,7 @@ func (s *Service) publish(key string, res *JobResult) {
 }
 
 // evictResultsLocked drops the full results of all but the newest
-// MaxRetainedResults finished jobs, bounding the memory pinned by retained
+// maxRetainedResults finished jobs, bounding the memory pinned by retained
 // abstracted logs. Jobs with waiters still between the done signal and
 // their locked result read are spared — they release their ref in wait().
 // Requires s.mu.
@@ -830,7 +826,7 @@ func (s *Service) evictResultsLocked() {
 			continue
 		}
 		withResult++
-		if withResult > s.opts.MaxRetainedResults {
+		if withResult > s.maxRetainedResults {
 			job.result = nil
 			job.resultEvicted = true
 		}
@@ -899,7 +895,7 @@ func (s *Service) adoptCached(key, tag string, res *JobResult) JobSnapshot {
 func (s *Service) retainLocked(job *Job) {
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job.id)
-	for len(s.jobs) > s.opts.MaxRetainedJobs {
+	for len(s.jobs) > maxRetainedJobs {
 		dropped := false
 		for i, id := range s.jobOrder {
 			j, ok := s.jobs[id]

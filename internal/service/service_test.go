@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"gecco/internal/candidates"
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
@@ -156,11 +155,12 @@ func TestLogDigestSubSecondTimestamps(t *testing.T) {
 	}
 }
 
-// Finished jobs beyond MaxRetainedResults drop their full result (the
+// Finished jobs beyond maxRetainedResults drop their full result (the
 // abstracted log) while keeping metadata, bounding retained memory.
 func TestRetainedResultsEvicted(t *testing.T) {
-	svc := New(Options{MaxRetainedResults: 1})
+	svc := New(Options{})
 	defer svc.Close()
+	svc.maxRetainedResults = 1
 
 	first, err := svc.Submit(roleRequest(t))
 	if err != nil {
@@ -220,7 +220,7 @@ func TestTimeLimitedRequestsNotCached(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
 	req := roleRequest(t)
-	req.Config.Budget = candidates.Budget{TimeLimit: time.Minute}
+	req.Config.SolverTimeout = time.Minute
 	if _, meta, err := svc.Do(context.Background(), req); err != nil || meta.Cached {
 		t.Fatalf("err=%v cached=%t", err, meta.Cached)
 	}

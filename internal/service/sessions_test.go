@@ -204,8 +204,9 @@ func TestGetOrCreateNeverReturnsNilSession(t *testing.T) {
 // the same log rebuilds a fresh one (a session miss + an eviction) instead
 // of accumulating memo entries forever.
 func TestSessionMemoLimitRetiresSession(t *testing.T) {
-	svc := New(Options{SessionMemoLimit: 1})
+	svc := New(Options{})
 	defer svc.Close()
+	svc.sessionMemoLimit = 1
 	log := procgen.RunningExampleTable1()
 	cfg := core.Config{Mode: core.DFGUnbounded}
 	for _, text := range []string{"distinct(role) <= 1", "|g| <= 3", "|g| <= 2"} {

@@ -52,9 +52,9 @@ func hotClean(vs []Value) int {
 	return n
 }
 
-// codeAt mirrors the mapped-index decode accessors (eventlog.Column.codeAt
-// and friends): shift-based little-endian decoding from a byte view is
-// exactly what the hot path should look like, and must stay unflagged.
+// codeAt decodes a little-endian code from a byte view with shifts: exactly
+// what a per-event hot-path accessor should look like, and it must stay
+// unflagged.
 //
 //gecco:hotpath
 func codeAt(b []byte, pos int) uint32 {

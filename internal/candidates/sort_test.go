@@ -40,12 +40,10 @@ func TestSortPathsByDistLBGatedMatchesFullSort(t *testing.T) {
 		for _, cut := range []int{1, 3, 8, 17} {
 			oracle := append([]path(nil), base...)
 			dcO := distance.NewCalc(x, instances.SplitOnRepeat)
-			dcO.SetWorkers(workers)
 			sortPathsByDist(oracle, dcO, workers, 0) // cut <= 0: full sort
 
 			gated := append([]path(nil), base...)
 			dcG := distance.NewCalc(x, instances.SplitOnRepeat)
-			dcG.SetWorkers(workers)
 			sortPathsByDist(gated, dcG, workers, cut)
 
 			for i := 0; i < cut; i++ {

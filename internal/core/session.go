@@ -111,12 +111,6 @@ func (s *Session) Log() *eventlog.Log {
 // once, so this is O(1) — the serving layer polls it for /stats.
 func (s *Session) EstimatedBytes() int64 { return s.indexBytes + s.logBytes.Load() }
 
-// MappedBytes reports the file-backed mapping size behind the session's
-// index — nonzero only for sessions warm-opened from an on-disk index file.
-// These pages are not Go heap and are accounted separately from
-// EstimatedBytes.
-func (s *Session) MappedBytes() int64 { return s.x.MappedBytes() }
-
 // Index returns the session's interned view of the log.
 func (s *Session) Index() *eventlog.Index { return s.x }
 
@@ -130,10 +124,6 @@ func (s *Session) Calc(policy instances.Policy) *distance.Calc {
 	defer s.mu.Unlock()
 	dc, ok := s.calcs[policy]
 	if !ok {
-		// The pipeline parallelises across groups/paths (frontier
-		// evaluation, the Step 2 cost loop), so the Calc's inner per-variant
-		// fan-out stays off here: nesting it would stack up to workers^2
-		// runnable goroutines with no extra parallelism.
 		dc = distance.NewCalc(s.x, policy)
 		s.calcs[policy] = dc
 	}

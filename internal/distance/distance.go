@@ -15,11 +15,6 @@ import (
 	"gecco/internal/par"
 )
 
-// parallelVariantThreshold is the minimum number of distinct variants before
-// a single Eq. 1 evaluation fans its per-variant loop out to the workers;
-// below it the goroutine handoff costs more than the scan.
-const parallelVariantThreshold = 256
-
 // Calc computes and memoises group distances over one indexed log. It is
 // safe for concurrent use: the memo is sharded with per-shard locks and each
 // group is evaluated exactly once, so the evaluation count — and, because
@@ -28,7 +23,6 @@ const parallelVariantThreshold = 256
 type Calc struct {
 	X       *eventlog.Index
 	Policy  instances.Policy
-	workers int
 	cache   *par.Memo[float64]
 	lbCache *par.Memo[float64]
 	lbPad   float64
@@ -47,14 +41,12 @@ type vtScratch struct {
 	seenList []int
 }
 
-// NewCalc builds a distance calculator for the log. It evaluates Eq. 1
-// sequentially; use SetWorkers to parallelise the per-variant loop on large
-// logs.
+// NewCalc builds a distance calculator for the log. Each Eq. 1 evaluation
+// runs on its caller's goroutine; callers parallelise across groups.
 func NewCalc(x *eventlog.Index, policy instances.Policy) *Calc {
 	c := &Calc{
 		X:       x,
 		Policy:  policy,
-		workers: 1,
 		cache:   par.NewMemo[float64](),
 		lbCache: par.NewMemo[float64](),
 		// Shaving the lower bound by this relative margin keeps it admissible
@@ -68,11 +60,6 @@ func NewCalc(x *eventlog.Index, policy instances.Policy) *Calc {
 	}
 	return c
 }
-
-// SetWorkers sets the number of workers a single Eq. 1 evaluation may fan
-// out to (<= 0 means one per CPU). Call before sharing the Calc across
-// goroutines.
-func (c *Calc) SetWorkers(n int) { c.workers = par.Workers(n) }
 
 // Evals reports the number of non-memoised group evaluations (the runtime
 // accounting of §VI).
@@ -201,32 +188,17 @@ func (c *Calc) Group(g bitset.Set) float64 {
 
 // compute evaluates Eq. 1 over the log's distinct variants, weighting each
 // by its trace multiplicity: the measure depends only on class sequences,
-// so identical traces need not be re-segmented. Each variant's contribution
-// is accumulated locally and the subtotals are reduced in variant order, so
-// the floating-point result is bit-identical no matter how many workers
-// evaluate the variants.
+// so identical traces need not be re-segmented.
 //
 //gecco:hotpath
 func (c *Calc) compute(g bitset.Set) float64 {
 	nv := c.X.NumVariants()
 	sum := 0.0
 	numInsts := 0
-	if c.workers > 1 && nv >= parallelVariantThreshold {
-		sums := make([]float64, nv)
-		counts := make([]int, nv)
-		par.For(c.workers, nv, func(v int) {
-			sums[v], counts[v] = c.variantTerm(g, v)
-		})
-		for v := 0; v < nv; v++ {
-			sum += sums[v]
-			numInsts += counts[v]
-		}
-	} else {
-		for v := 0; v < nv; v++ {
-			s, n := c.variantTerm(g, v)
-			sum += s
-			numInsts += n
-		}
+	for v := 0; v < nv; v++ {
+		s, n := c.variantTerm(g, v)
+		sum += s
+		numInsts += n
 	}
 	if numInsts == 0 {
 		return math.Inf(1)

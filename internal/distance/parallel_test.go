@@ -1,8 +1,6 @@
 package distance
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"gecco/internal/bitset"
@@ -11,54 +9,6 @@ import (
 	"gecco/internal/par"
 	"gecco/internal/procgen"
 )
-
-// manyVariantLog builds a log with enough distinct variants to cross the
-// parallel per-variant threshold.
-func manyVariantLog(nVariants int) *eventlog.Log {
-	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	log := &eventlog.Log{Name: "many-variants"}
-	for i := 0; i < nVariants; i++ {
-		var tr eventlog.Trace
-		tr.ID = fmt.Sprintf("t%d", i)
-		// Spell out i in base 8 as class indices: every trace is its own
-		// variant by construction.
-		for v := i; ; v /= len(classes) {
-			tr.Events = append(tr.Events, eventlog.Event{Class: classes[v%len(classes)]})
-			if v < len(classes) {
-				break
-			}
-		}
-		tr.Events = append(tr.Events, eventlog.Event{Class: classes[i%len(classes)]})
-		log.Traces = append(log.Traces, tr)
-	}
-	return log
-}
-
-// TestParallelVariantLoopBitIdentical asserts that fanning the Eq. 1
-// per-variant loop out to workers yields bit-identical distances: both
-// paths reduce per-variant subtotals in variant order.
-func TestParallelVariantLoopBitIdentical(t *testing.T) {
-	log := manyVariantLog(4 * parallelVariantThreshold)
-	x := eventlog.NewIndex(log)
-	if x.NumVariants() < parallelVariantThreshold {
-		t.Fatalf("fixture has %d variants, need >= %d", x.NumVariants(), parallelVariantThreshold)
-	}
-	seq := NewCalc(x, instances.SplitOnRepeat)
-	parc := NewCalc(x, instances.SplitOnRepeat)
-	parc.SetWorkers(runtime.NumCPU())
-	n := x.NumClasses()
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			g := bitset.New(n)
-			g.Add(a)
-			g.Add(b)
-			ds, dp := seq.Group(g), parc.Group(g)
-			if ds != dp {
-				t.Fatalf("group %v: sequential %v != parallel %v", g, ds, dp)
-			}
-		}
-	}
-}
 
 // TestCalcConcurrentUse hammers one Calc from many goroutines (run under
 // -race); the sharded memo must serve every caller the same value and count

@@ -1,8 +1,6 @@
 package eventlog
 
 import (
-	"encoding/binary"
-	"math"
 	"strconv"
 	"time"
 
@@ -14,14 +12,7 @@ import (
 // numbering as the class-id arena). Values are held in typed arrays gated by
 // a presence bitset; string values are dictionary-encoded so categorical
 // reads compare small integer codes instead of hashing strings. Columns are
-// immutable after Build and safe for concurrent reads.
-//
-// A column built in memory holds its payloads in the typed slices (codes,
-// nums, times, kinds). A column opened from an index file via OpenIndex may
-// instead hold the raw little-endian payload bytes straight out of the
-// mapped file (codesB, numsB, timesB, kindsB); the accessors decode on the
-// fly, so consumers never see the difference. Exactly one representation is
-// populated per payload.
+// immutable after Build (or ReadIndex) and safe for concurrent reads.
 type Column struct {
 	name    string
 	present bitset.Set // global positions carrying the attribute
@@ -29,9 +20,8 @@ type Column struct {
 	// kind is the column's uniform value kind; KindNone marks a mixed-kind
 	// column, in which case kinds holds the per-event kind. Uniform columns
 	// (the overwhelmingly common case) pay no per-event kind byte.
-	kind   Kind
-	kinds  []uint8
-	kindsB []byte // mapped alternative to kinds (same layout: one byte/pos)
+	kind  Kind
+	kinds []uint8
 
 	// codes/dict hold dictionary-encoded strings; nums carries both
 	// KindFloat and KindInt payloads (which of the two a position holds is
@@ -41,18 +31,6 @@ type Column struct {
 	nums  []float64
 	times []time.Time
 	bools bitset.Set
-
-	// Mapped payload alternatives: raw little-endian bytes backed by the
-	// index file's mapping. codesB holds u32 codes, numsB f64 bits, timesB
-	// 16-byte (sec i64, nsec u32, zone-offset i32) records.
-	codesB []byte
-	numsB  []byte
-	timesB []byte
-
-	// timeLocs interns the fixed-offset zones occurring in timesB. It is
-	// fully populated at decode time and read-only afterwards, so concurrent
-	// timeAt calls never mutate shared state.
-	timeLocs map[int32]*time.Location
 }
 
 // Name returns the attribute name the column stores.
@@ -78,71 +56,13 @@ func (c *Column) kindAt(pos int) Kind {
 	if c.kinds != nil {
 		return Kind(c.kinds[pos])
 	}
-	if c.kindsB != nil {
-		return Kind(c.kindsB[pos])
-	}
 	return c.kind
-}
-
-// mixed reports whether the column stores per-event kinds (any kind mix
-// forces that path); uniform columns answer every kindAt from c.kind.
-func (c *Column) mixed() bool { return c.kinds != nil || c.kindsB != nil }
-
-// codeAt returns the dictionary code stored at pos, assuming pos holds a
-// string value, decoding from the mapped bytes when the column is file-backed.
-//
-//gecco:hotpath
-func (c *Column) codeAt(pos int) uint32 {
-	if c.codes != nil {
-		return c.codes[pos]
-	}
-	return binary.LittleEndian.Uint32(c.codesB[pos*4:])
-}
-
-// numAt returns the numeric payload stored at pos, assuming pos holds a
-// KindFloat/KindInt value.
-//
-//gecco:hotpath
-func (c *Column) numAt(pos int) float64 {
-	if c.nums != nil {
-		return c.nums[pos]
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.numsB[pos*8:]))
-}
-
-// timeAt returns the timestamp stored at pos, assuming pos holds a KindTime
-// value. File-backed columns reconstruct the time from its (sec, nsec,
-// zone-offset) record; the fixed-offset location is interned per column.
-func (c *Column) timeAt(pos int) time.Time {
-	if c.times != nil {
-		return c.times[pos]
-	}
-	b := c.timesB[pos*16:]
-	sec := int64(binary.LittleEndian.Uint64(b))
-	nsec := binary.LittleEndian.Uint32(b[8:])
-	off := int32(binary.LittleEndian.Uint32(b[12:]))
-	return time.Unix(sec, int64(nsec)).In(c.timeLoc(off))
-}
-
-// timeLoc returns the interned fixed-offset location for a zone offset in
-// seconds east of UTC. Offset 0 maps to time.UTC: RFC3339 renders any
-// zero-offset zone as "Z", so the round-trip stays byte-identical. The
-// intern map is built at decode time; the fallback only fires on offsets a
-// decode-validated file cannot contain.
-func (c *Column) timeLoc(off int32) *time.Location {
-	if off == 0 {
-		return time.UTC
-	}
-	if loc, ok := c.timeLocs[off]; ok {
-		return loc
-	}
-	return time.FixedZone("", int(off))
 }
 
 // StringsOnly reports whether every value in the column is a string, in
 // which case dictionary codes are a bijection onto the distinct AsString
 // keys and categorical reads can work on codes alone.
-func (c *Column) StringsOnly() bool { return c.kind == KindString && !c.mixed() }
+func (c *Column) StringsOnly() bool { return c.kind == KindString && c.kinds == nil }
 
 // NumCodes returns the size of the string dictionary.
 func (c *Column) NumCodes() int { return len(c.dict) }
@@ -156,7 +76,7 @@ func (c *Column) Code(pos int) (uint32, bool) {
 	if !c.present.Contains(pos) || c.kindAt(pos) != KindString {
 		return 0, false
 	}
-	return c.codeAt(pos), true
+	return c.codes[pos], true
 }
 
 // Num returns the numeric payload at pos; ok is false when the attribute is
@@ -167,7 +87,7 @@ func (c *Column) Num(pos int) (float64, bool) {
 	}
 	switch c.kindAt(pos) {
 	case KindFloat, KindInt:
-		return c.numAt(pos), true
+		return c.nums[pos], true
 	}
 	return 0, false
 }
@@ -178,7 +98,7 @@ func (c *Column) Time(pos int) (time.Time, bool) {
 	if !c.present.Contains(pos) || c.kindAt(pos) != KindTime {
 		return time.Time{}, false
 	}
-	return c.timeAt(pos), true
+	return c.times[pos], true
 }
 
 // Value reconstructs the typed attribute value at pos, exactly as the
@@ -189,13 +109,13 @@ func (c *Column) Value(pos int) (Value, bool) {
 	}
 	switch c.kindAt(pos) {
 	case KindString:
-		return Value{Kind: KindString, Str: c.dict[c.codeAt(pos)]}, true
+		return Value{Kind: KindString, Str: c.dict[c.codes[pos]]}, true
 	case KindFloat:
-		return Value{Kind: KindFloat, Num: c.numAt(pos)}, true
+		return Value{Kind: KindFloat, Num: c.nums[pos]}, true
 	case KindInt:
-		return Value{Kind: KindInt, Num: c.numAt(pos)}, true
+		return Value{Kind: KindInt, Num: c.nums[pos]}, true
 	case KindTime:
-		return Value{Kind: KindTime, Time: c.timeAt(pos)}, true
+		return Value{Kind: KindTime, Time: c.times[pos]}, true
 	case KindBool:
 		return Value{Kind: KindBool, Bool: c.bools.Contains(pos)}, true
 	}
@@ -211,13 +131,13 @@ func (c *Column) Key(pos int) (string, bool) {
 	}
 	switch c.kindAt(pos) {
 	case KindString:
-		return c.dict[c.codeAt(pos)], true
+		return c.dict[c.codes[pos]], true
 	case KindInt:
-		return Value{Kind: KindInt, Num: c.numAt(pos)}.AsString(), true
+		return Value{Kind: KindInt, Num: c.nums[pos]}.AsString(), true
 	case KindFloat:
-		return strconv.FormatFloat(c.numAt(pos), 'g', -1, 64), true
+		return strconv.FormatFloat(c.nums[pos], 'g', -1, 64), true
 	case KindTime:
-		return c.timeAt(pos).Format(time.RFC3339), true
+		return c.times[pos].Format(time.RFC3339), true
 	case KindBool:
 		if c.bools.Contains(pos) {
 			return "true", true
@@ -227,10 +147,7 @@ func (c *Column) Key(pos int) (string, bool) {
 	return "", true
 }
 
-// estimatedBytes returns the column's approximate heap footprint. Mapped
-// payload bytes (codesB/numsB/timesB/kindsB) are deliberately excluded —
-// they live in the file mapping, not on the heap, and are accounted
-// separately by Index.MappedBytes.
+// estimatedBytes returns the column's approximate heap footprint.
 func (c *Column) estimatedBytes() int {
 	n := len(c.name) + 16 +
 		c.present.Bytes() + c.bools.Bytes() +

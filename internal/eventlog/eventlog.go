@@ -19,16 +19,14 @@
 //   - NewIndex builds an Index from a Log; Builder streams one directly
 //     from a loader (xes.ReadIndex, csvlog.ReadIndex) with no intermediate
 //     Log.
-//   - WriteIndex / WriteIndexFile serialise an Index to the versioned,
-//     checksummed binary format specified in docs/FORMAT.md; the encoding
-//     is canonical (one index, one byte representation).
-//   - OpenIndex brings a file back as pure IO — every derived structure is
-//     stored, nothing is re-parsed or re-built. On Unix the file is mapped
-//     read-only and bulk column payloads are decoded per access straight
-//     from the mapping (no unsafe, no heap copy); ReadIndex is the
-//     portable io.ReaderAt fallback that materialises everything. Both
-//     paths yield indexes whose reads, and whose re-encodings, are
-//     byte-identical to the original.
+//   - WriteIndex serialises an Index to the versioned, checksummed binary
+//     format specified in docs/FORMAT.md; the encoding is canonical (one
+//     index, one byte representation).
+//   - ReadIndex, and OpenIndex for a file path, bring one back — every
+//     derived structure is stored, nothing is re-parsed or re-built. The
+//     file is validated end to end and decoded onto the heap, so the
+//     result's reads, and its re-encoding, are byte-identical to the
+//     original's.
 package eventlog
 
 import (

@@ -56,37 +56,6 @@ type Index struct {
 
 	cols  []*Column
 	colID map[string]int
-
-	// mapped is non-nil when the Index was opened zero-copy from an index
-	// file (OpenIndex): column payload bytes alias the mapping, and the
-	// mapping must outlive every such view. Reclamation is finalizer-driven
-	// (see mapping), so dropping the Index is always safe; Close releases
-	// the mapping eagerly once the caller knows no reads remain.
-	mapped *mapping
-}
-
-// MappedBytes returns the number of file-mapped (non-heap) bytes backing the
-// Index, or 0 for a fully in-memory Index. Mapped bytes are page cache the
-// OS can evict under pressure, so they are reported separately from
-// EstimatedBytes in the serving layer's memory accounting.
-func (x *Index) MappedBytes() int64 {
-	if x.mapped == nil {
-		return 0
-	}
-	return int64(len(x.mapped.data))
-}
-
-// Close releases the file mapping of an Index opened with OpenIndex; it is a
-// no-op for in-memory indexes. After Close the Index must not be used. If
-// Close is never called the mapping is reclaimed by the garbage collector
-// once the Index is unreachable.
-func (x *Index) Close() error {
-	if x.mapped == nil {
-		return nil
-	}
-	m := x.mapped
-	x.mapped = nil
-	return m.close()
 }
 
 // NewIndex builds an Index for the log by feeding a Builder — the same
@@ -264,7 +233,7 @@ func (x *Index) ClassAttrValues(attr string) []map[string]struct{} {
 		// into the result map once per class, not once per event.
 		seen := make(map[uint64]struct{})
 		col.present.ForEach(func(pos int) bool {
-			code := col.codeAt(pos)
+			code := col.codes[pos]
 			k := uint64(x.arena[pos])<<32 | uint64(code)
 			if _, ok := seen[k]; !ok {
 				seen[k] = struct{}{}
@@ -311,10 +280,8 @@ func (x *Index) ReconstructLog() *Log {
 
 // EstimatedBytes returns the Index's approximate heap footprint: arenas,
 // offset tables, per-class bitsets, and attribute columns with their
-// dictionaries. File-mapped payload bytes of an OpenIndex-backed Index are
-// excluded (their slices are nil here) and reported via MappedBytes instead,
-// so the serving layer's LRU budget tracks real heap pressure. Surfaced on
-// /stats so operators can see what the session LRU pins.
+// dictionaries. Surfaced on /stats so operators can see what the session
+// LRU pins.
 func (x *Index) EstimatedBytes() int64 {
 	n := len(x.arena)*4 + len(x.variantArena)*4 +
 		len(x.traceOff)*8 + len(x.variantOff)*8 +

@@ -1,14 +1,9 @@
 // On-disk index IO: WriteIndex serialises an Index into the versioned,
-// segment-table binary format specified in docs/FORMAT.md; OpenIndex and
-// ReadIndex bring one back. The format stores every derived structure
-// (variant compaction, per-class bitsets, dictionaries), so opening is pure
-// IO plus validation — no re-parsing, no re-building. OpenIndex maps the
-// file read-only where the platform supports it and leaves the bulk column
-// payloads as little-endian byte views into the mapping ("zero-copy" means
-// no heap copy; pages still fault in on first touch), while control-flow
-// structures (arenas, offsets, bitsets, dictionaries) are always heap-
-// materialised for full-speed access. ReadIndex is the pure-Go io.ReaderAt
-// fallback and materialises everything.
+// segment-table binary format specified in docs/FORMAT.md; ReadIndex (and
+// OpenIndex, its file wrapper) brings one back. The format stores every
+// derived structure (variant compaction, per-class bitsets, dictionaries),
+// so opening is IO, validation and a linear decode into the typed arrays a
+// Builder produces — no re-parsing, no re-building.
 //
 // Decoding never trusts the file: every segment is CRC-checked, every
 // allocation is bounded by its segment's length, and a structural
@@ -25,7 +20,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -123,46 +117,6 @@ func WriteIndex(w io.Writer, x *Index) error {
 	return nil
 }
 
-// WriteIndexFile writes x to path atomically: the bytes land in a temp file
-// in the same directory, are fsynced, and are renamed into place, so a
-// concurrent OpenIndex sees either the old complete file or the new one,
-// never a torn write.
-func WriteIndexFile(path string, x *Index) error {
-	dir, base := splitPath(path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := WriteIndex(f, x); err == nil {
-		err = f.Sync()
-	} else {
-		f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// splitPath is a minimal Dir/Base split (avoids importing path/filepath for
-// one call site; "." for a bare filename keeps CreateTemp in the cwd).
-func splitPath(path string) (dir, base string) {
-	for i := len(path) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(path[i]) {
-			return path[:i+1], path[i+1:]
-		}
-	}
-	return ".", path
-}
-
 func encodeSegments(x *Index) []segment {
 	var segs []segment
 	add := func(kind, id uint32, payload []byte) {
@@ -212,20 +166,20 @@ func encodeSegments(x *Index) []segment {
 		cm.u8(0)
 		add(segColMeta, id, cm.b)
 		add(segColPresent, id, encodeWords(c.present.Words()))
-		if p := colKindsPayload(c); len(p) > 0 {
-			add(segColKinds, id, p)
+		if len(c.kinds) > 0 {
+			add(segColKinds, id, c.kinds)
 		}
-		if p := colCodesPayload(c); len(p) > 0 {
-			add(segColCodes, id, p)
+		if len(c.codes) > 0 {
+			add(segColCodes, id, encodeU32s(c.codes))
 		}
 		if len(c.dict) > 0 {
 			add(segColDict, id, encodeStringTable(c.dict))
 		}
-		if p := colNumsPayload(c); len(p) > 0 {
-			add(segColNums, id, p)
+		if len(c.nums) > 0 {
+			add(segColNums, id, encodeF64s(c.nums))
 		}
-		if p := colTimesPayload(c); len(p) > 0 {
-			add(segColTimes, id, p)
+		if len(c.times) > 0 {
+			add(segColTimes, id, encodeTimes(c.times))
 		}
 		if w := c.bools.Words(); len(w) > 0 {
 			add(segColBools, id, encodeWords(w))
@@ -356,37 +310,17 @@ func appendTime(e *enc, t time.Time) {
 	e.u32(uint32(int32(off)))
 }
 
-func colKindsPayload(c *Column) []byte {
-	if c.kindsB != nil {
-		return c.kindsB
-	}
-	return c.kinds
-}
-
-func colCodesPayload(c *Column) []byte {
-	if c.codesB != nil {
-		return c.codesB
-	}
-	return encodeU32s(c.codes)
-}
-
-func colNumsPayload(c *Column) []byte {
-	if c.numsB != nil {
-		return c.numsB
-	}
-	e := &enc{b: make([]byte, 0, len(c.nums)*8)}
-	for _, v := range c.nums {
+func encodeF64s(vs []float64) []byte {
+	e := &enc{b: make([]byte, 0, len(vs)*8)}
+	for _, v := range vs {
 		e.u64(math.Float64bits(v))
 	}
 	return e.b
 }
 
-func colTimesPayload(c *Column) []byte {
-	if c.timesB != nil {
-		return c.timesB
-	}
-	e := &enc{b: make([]byte, 0, len(c.times)*16)}
-	for _, t := range c.times {
+func encodeTimes(ts []time.Time) []byte {
+	e := &enc{b: make([]byte, 0, len(ts)*16)}
+	for _, t := range ts {
 		appendTime(e, t)
 	}
 	return e.b

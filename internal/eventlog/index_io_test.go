@@ -72,9 +72,10 @@ func writeXES(t *testing.T, log *eventlog.Log) []byte {
 	return buf.Bytes()
 }
 
-// TestIndexRoundTrip pins the core format contract on both read paths:
-// write → read → write reproduces the file byte for byte, and the reopened
-// index reconstructs a log that serialises identically to the original.
+// TestIndexRoundTrip pins the core format contract through ReadIndex and
+// through a file opened with OpenIndex: write → read → write reproduces the
+// file byte for byte, and the reopened index reconstructs a log that
+// serialises identically to the original.
 func TestIndexRoundTrip(t *testing.T) {
 	for name, log := range ioTestLogs() {
 		t.Run(name, func(t *testing.T) {
@@ -94,14 +95,13 @@ func TestIndexRoundTrip(t *testing.T) {
 			}
 
 			path := filepath.Join(t.TempDir(), "log.gidx")
-			if err := eventlog.WriteIndexFile(path, x); err != nil {
-				t.Fatalf("WriteIndexFile: %v", err)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
 			}
 			opened, err := eventlog.OpenIndex(path)
 			if err != nil {
 				t.Fatalf("OpenIndex: %v", err)
 			}
-			defer opened.Close()
 			if !bytes.Equal(encode(t, opened), data) {
 				t.Error("OpenIndex → WriteIndex is not byte-identical")
 			}
@@ -115,21 +115,20 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnAccessorsAfterOpen compares every per-position column read of a
-// mapped index against the freshly built one — the byte-decoding accessor
-// path must be indistinguishable from the typed-slice path.
+// TestColumnAccessorsAfterOpen compares every per-position column read of
+// an index opened from its file against the freshly built one — decoded
+// columns must be indistinguishable from built ones.
 func TestColumnAccessorsAfterOpen(t *testing.T) {
 	log := gnarlyLog()
 	x := eventlog.NewIndex(log)
 	path := filepath.Join(t.TempDir(), "log.gidx")
-	if err := eventlog.WriteIndexFile(path, x); err != nil {
+	if err := os.WriteFile(path, encode(t, x), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opened, err := eventlog.OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer opened.Close()
 
 	for _, attr := range []string{"n", "ok", eventlog.AttrTimestamp, "absent"} {
 		a, b := x.Column(attr), opened.Column(attr)
@@ -232,39 +231,5 @@ func TestIndexErrorKinds(t *testing.T) {
 	}
 	if _, err := eventlog.OpenIndex(path); !errors.Is(err, eventlog.ErrCorrupt) {
 		t.Errorf("truncated file via OpenIndex: err = %v, want ErrCorrupt", err)
-	}
-}
-
-// TestMappedBytesAccounting checks the heap/mapped split: a mapped index
-// reports its payload bytes via MappedBytes and keeps them out of
-// EstimatedBytes; Close releases the mapping and is idempotent.
-func TestMappedBytesAccounting(t *testing.T) {
-	x := eventlog.NewIndex(procgen.LoanLog(50, 3))
-	path := filepath.Join(t.TempDir(), "log.gidx")
-	if err := eventlog.WriteIndexFile(path, x); err != nil {
-		t.Fatal(err)
-	}
-	if x.MappedBytes() != 0 {
-		t.Errorf("in-memory index MappedBytes = %d, want 0", x.MappedBytes())
-	}
-	opened, err := eventlog.OpenIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, _ := os.Stat(path)
-	if opened.MappedBytes() != 0 { // only on platforms with mmap
-		if opened.MappedBytes() != fi.Size() {
-			t.Errorf("MappedBytes = %d, file is %d", opened.MappedBytes(), fi.Size())
-		}
-		if opened.EstimatedBytes() >= x.EstimatedBytes() {
-			t.Errorf("mapped EstimatedBytes %d not below in-memory %d",
-				opened.EstimatedBytes(), x.EstimatedBytes())
-		}
-	}
-	if err := opened.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := opened.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
 	}
 }

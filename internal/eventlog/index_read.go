@@ -11,12 +11,9 @@ import (
 	"gecco/internal/bitset"
 )
 
-// OpenIndex opens an index file written by WriteIndex. On platforms with
-// mmap support the file is mapped read-only and the bulk column payloads
-// stay as views into the mapping (see Index.MappedBytes); elsewhere — or if
-// mapping fails — it falls back to fully loading the file via ReadIndex.
-// The returned Index is validated end to end and safe for concurrent use;
-// call Close (or let the GC reclaim it) when done.
+// OpenIndex reads the index file at path, written by WriteIndex, through
+// ReadIndex. The returned Index is validated end to end, holds no reference
+// to the file, and is safe for concurrent use.
 func OpenIndex(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -27,22 +24,11 @@ func OpenIndex(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	if m, merr := mmapFile(f, size); merr == nil {
-		x, derr := decodeIndex(m.data, false)
-		if derr != nil {
-			m.close()
-			return nil, derr
-		}
-		x.mapped = m
-		return x, nil
-	}
-	return ReadIndex(f, size)
+	return ReadIndex(f, fi.Size())
 }
 
-// ReadIndex decodes an index from any io.ReaderAt — the pure-Go fallback
-// path, used when mmap is unavailable. The whole file is loaded and every
-// structure is heap-materialised; MappedBytes of the result is 0.
+// ReadIndex decodes an index of size bytes from r. The whole file is loaded,
+// validated, and decoded into the same heap structures a Builder produces.
 func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
 	if size < 0 || size != int64(int(size)) {
 		return nil, corruptf("implausible file size %d", size)
@@ -51,7 +37,7 @@ func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
 	if _, err := r.ReadAt(data, 0); err != nil && !(err == io.EOF && size == 0) {
 		return nil, err
 	}
-	return decodeIndex(data, true)
+	return decodeIndex(data)
 }
 
 // cursor is a bounds-checked little-endian reader over one segment payload.
@@ -171,7 +157,7 @@ func parseFile(data []byte) (map[segKey][]byte, int, error) {
 	return segs, nColSegs, nil
 }
 
-func decodeIndex(data []byte, materialize bool) (*Index, error) {
+func decodeIndex(data []byte) (*Index, error) {
 	segs, nColSegs, err := parseFile(data)
 	if err != nil {
 		return nil, err
@@ -210,7 +196,7 @@ func decodeIndex(data []byte, materialize bool) (*Index, error) {
 	if err := decodeControl(x, segs, need, numTraces, numEvents, numClasses, numVariants); err != nil {
 		return nil, err
 	}
-	if err := decodeColumns(x, segs, nColSegs, numCols, numEvents, materialize); err != nil {
+	if err := decodeColumns(x, segs, nColSegs, numCols, numEvents); err != nil {
 		return nil, err
 	}
 	return x, nil

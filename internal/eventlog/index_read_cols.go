@@ -11,11 +11,9 @@ import (
 // decodeColumns rebuilds the attribute columns. Each column's payloads are
 // structurally validated in one pass over its presence bitset — per-kind
 // payload coverage, dictionary code bounds, kind byte range — so the Column
-// accessors can index without further checks. With materialize the payloads
-// are copied into the typed slices a Builder would have produced; otherwise
-// the little-endian payload bytes are retained as-is (aliasing the file
-// mapping) and decoded per access.
-func decodeColumns(x *Index, segs map[segKey][]byte, nColSegs, numCols, numEvents int, materialize bool) error {
+// accessors can index without further checks, and then decoded into the
+// typed slices a Builder would have produced.
+func decodeColumns(x *Index, segs map[segKey][]byte, nColSegs, numCols, numEvents int) error {
 	if numCols > nColSegs { // every column carries at least col-meta
 		return corruptf("meta declares %d columns, file has %d column segments", numCols, nColSegs)
 	}
@@ -31,7 +29,7 @@ func decodeColumns(x *Index, segs map[segKey][]byte, nColSegs, numCols, numEvent
 			}
 			return p, ok
 		}
-		col, err := decodeColumn(get, id, numEvents, materialize)
+		col, err := decodeColumn(get, id, numEvents)
 		if err != nil {
 			return err
 		}
@@ -48,12 +46,12 @@ func decodeColumns(x *Index, segs map[segKey][]byte, nColSegs, numCols, numEvent
 	return nil
 }
 
-func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int, materialize bool) (*Column, error) {
-	metaB, ok := get(segColMeta)
+func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int) (*Column, error) {
+	metaSeg, ok := get(segColMeta)
 	if !ok {
 		return nil, corruptf("column %d: missing col-meta", id)
 	}
-	mc := cursor{b: metaB}
+	mc := cursor{b: metaSeg}
 	name, ok := mc.str()
 	if !ok {
 		return nil, corruptf("column %d: bad name", id)
@@ -67,58 +65,56 @@ func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int, materializ
 		return nil, corruptf("column %d (%q): malformed col-meta", id, name)
 	}
 
-	presentB, ok := get(segColPresent)
-	if !ok || len(presentB)%8 != 0 {
+	presentSeg, ok := get(segColPresent)
+	if !ok || len(presentSeg)%8 != 0 {
 		return nil, corruptf("column %d (%q): missing or misaligned col-present", id, name)
 	}
-	present := bitset.FromWords(decodeWords(presentB))
+	present := bitset.FromWords(decodeWords(presentSeg))
 	if present.Max() >= numEvents {
 		return nil, corruptf("column %d (%q): present position %d beyond %d events", id, name, present.Max(), numEvents)
 	}
 
-	kindsB, _ := get(segColKinds)
-	codesB, _ := get(segColCodes)
-	numsB, _ := get(segColNums)
-	timesB, _ := get(segColTimes)
-	boolsB, hasBools := get(segColBools)
+	kindsSeg, _ := get(segColKinds)
+	codesSeg, _ := get(segColCodes)
+	numsSeg, _ := get(segColNums)
+	timesSeg, _ := get(segColTimes)
+	boolsSeg, hasBools := get(segColBools)
 	var dict []string
-	if dictB, ok := get(segColDict); ok {
+	if dictSeg, ok := get(segColDict); ok {
 		var err error
-		if dict, err = decodeStringTable(dictB, "col-dict"); err != nil {
+		if dict, err = decodeStringTable(dictSeg, "col-dict"); err != nil {
 			return nil, err
 		}
 	}
-	mixed := len(kindsB) > 0
+	mixed := len(kindsSeg) > 0
 	if mixed && kindB != uint8(KindNone) {
 		return nil, corruptf("column %d (%q): mixed column declares uniform kind %d", id, name, kindB)
 	}
-	if len(codesB)%4 != 0 || len(numsB)%8 != 0 || len(timesB)%16 != 0 || len(boolsB)%8 != 0 {
+	if len(codesSeg)%4 != 0 || len(numsSeg)%8 != 0 || len(timesSeg)%16 != 0 || len(boolsSeg)%8 != 0 {
 		return nil, corruptf("column %d (%q): misaligned payload segment", id, name)
 	}
-	if hasBools && len(boolsB) == 0 {
+	if hasBools && len(boolsSeg) == 0 {
 		return nil, corruptf("column %d (%q): empty col-bools segment", id, name)
 	}
 
 	c := &Column{name: name, present: present, kind: Kind(kindB), dict: dict}
-	if len(boolsB) > 0 {
-		c.bools = bitset.FromWords(decodeWords(boolsB))
+	if len(boolsSeg) > 0 {
+		c.bools = bitset.FromWords(decodeWords(boolsSeg))
 	}
 
-	// One validation pass over the present positions: after it, kindAt,
-	// codeAt, numAt, and timeAt can never index out of bounds or hit an
-	// out-of-dictionary code. Time-zone offsets are interned here so the
-	// read path never mutates shared state.
-	maxCodes, maxNums, maxTimes := len(codesB)/4, len(numsB)/8, len(timesB)/16
-	var locs map[int32]*time.Location
+	// One validation pass over the present positions: after it, the
+	// accessors' kind, code, number, and time reads can never index out of
+	// bounds or hit an out-of-dictionary code.
+	maxCodes, maxNums, maxTimes := len(codesSeg)/4, len(numsSeg)/8, len(timesSeg)/16
 	var verr error
 	present.ForEach(func(pos int) bool {
 		k := Kind(kindB)
 		if mixed {
-			if pos >= len(kindsB) || kindsB[pos] > uint8(KindBool) {
+			if pos >= len(kindsSeg) || kindsSeg[pos] > uint8(KindBool) {
 				verr = corruptf("column %d (%q): bad kind byte at position %d", id, name, pos)
 				return false
 			}
-			k = Kind(kindsB[pos])
+			k = Kind(kindsSeg[pos])
 		}
 		switch k {
 		case KindString:
@@ -126,7 +122,7 @@ func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int, materializ
 				verr = corruptf("column %d (%q): string at %d beyond codes payload", id, name, pos)
 				return false
 			}
-			if code := binary.LittleEndian.Uint32(codesB[pos*4:]); int64(code) >= int64(len(dict)) {
+			if code := binary.LittleEndian.Uint32(codesSeg[pos*4:]); int64(code) >= int64(len(dict)) {
 				verr = corruptf("column %d (%q): code %d beyond dictionary of %d", id, name, code, len(dict))
 				return false
 			}
@@ -140,18 +136,9 @@ func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int, materializ
 				verr = corruptf("column %d (%q): time at %d beyond times payload", id, name, pos)
 				return false
 			}
-			rec := timesB[pos*16:]
-			if nsec := binary.LittleEndian.Uint32(rec[8:]); nsec >= 1e9 {
+			if nsec := binary.LittleEndian.Uint32(timesSeg[pos*16+8:]); nsec >= 1e9 {
 				verr = corruptf("column %d (%q): %d nanoseconds at %d", id, name, nsec, pos)
 				return false
-			}
-			if off := int32(binary.LittleEndian.Uint32(rec[12:])); off != 0 {
-				if locs == nil {
-					locs = make(map[int32]*time.Location)
-				}
-				if locs[off] == nil {
-					locs[off] = time.FixedZone("", int(off))
-				}
 			}
 		}
 		return true
@@ -160,48 +147,38 @@ func decodeColumn(get func(uint32) ([]byte, bool), id, numEvents int, materializ
 		return nil, verr
 	}
 
-	if materialize {
-		if mixed {
-			c.kinds = append([]uint8(nil), kindsB...)
+	if mixed {
+		c.kinds = append([]uint8(nil), kindsSeg...)
+	}
+	if maxCodes > 0 {
+		c.codes = make([]uint32, maxCodes)
+		for i := range c.codes {
+			c.codes[i] = binary.LittleEndian.Uint32(codesSeg[i*4:])
 		}
-		if maxCodes > 0 {
-			c.codes = make([]uint32, maxCodes)
-			for i := range c.codes {
-				c.codes[i] = binary.LittleEndian.Uint32(codesB[i*4:])
+	}
+	if maxNums > 0 {
+		c.nums = make([]float64, maxNums)
+		for i := range c.nums {
+			c.nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(numsSeg[i*8:]))
+		}
+	}
+	if maxTimes > 0 {
+		// One *time.Location per distinct zone offset; offset 0 maps to
+		// time.UTC, so zero-offset times render as RFC3339 "Z" again.
+		locs := map[int32]*time.Location{0: time.UTC}
+		c.times = make([]time.Time, maxTimes)
+		for i := range c.times {
+			rec := timesSeg[i*16:]
+			sec := int64(binary.LittleEndian.Uint64(rec))
+			nsec := binary.LittleEndian.Uint32(rec[8:])
+			off := int32(binary.LittleEndian.Uint32(rec[12:]))
+			loc := locs[off]
+			if loc == nil {
+				loc = time.FixedZone("", int(off))
+				locs[off] = loc
 			}
+			c.times[i] = time.Unix(sec, int64(nsec)%1e9).In(loc)
 		}
-		if maxNums > 0 {
-			c.nums = make([]float64, maxNums)
-			for i := range c.nums {
-				c.nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(numsB[i*8:]))
-			}
-		}
-		if maxTimes > 0 {
-			c.times = make([]time.Time, maxTimes)
-			for i := range c.times {
-				rec := timesB[i*16:]
-				sec := int64(binary.LittleEndian.Uint64(rec))
-				nsec := binary.LittleEndian.Uint32(rec[8:])
-				off := int32(binary.LittleEndian.Uint32(rec[12:]))
-				loc := time.UTC
-				if off != 0 {
-					if l := locs[off]; l != nil {
-						loc = l
-					} else {
-						loc = time.FixedZone("", int(off))
-					}
-				}
-				c.times[i] = time.Unix(sec, int64(nsec)%1e9).In(loc)
-			}
-		}
-	} else {
-		if mixed {
-			c.kindsB = kindsB
-		}
-		c.codesB = codesB
-		c.numsB = numsB
-		c.timesB = timesB
-		c.timeLocs = locs
 	}
 	return c, nil
 }

@@ -116,7 +116,7 @@ func (x *Index) BuildClassColStats(attr string, masks []bitset.Set) *ClassColSta
 		masks[c].ForEachAnd(col.present, func(pos int) bool {
 			switch col.kindAt(pos) {
 			case KindFloat, KindInt:
-				v := col.numAt(pos)
+				v := col.nums[pos]
 				if st.NumCount[c] == 0 {
 					st.Min[c], st.Max[c] = v, v
 				} else {
@@ -138,7 +138,7 @@ func (x *Index) BuildClassColStats(attr string, masks []bitset.Set) *ClassColSta
 				st.TimeCount[c]++
 			case KindString:
 				if st.StringsOnly {
-					st.Codes[c].Add(int(col.codeAt(pos)))
+					st.Codes[c].Add(int(col.codes[pos]))
 				}
 			}
 			return true

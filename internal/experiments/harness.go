@@ -12,7 +12,6 @@ import (
 	"gecco/internal/eventlog"
 	"gecco/internal/instances"
 	"gecco/internal/metrics"
-	"gecco/internal/pipeline"
 )
 
 // Options tunes the harness; zero values pick defaults sized for a laptop
@@ -302,35 +301,16 @@ func withLabel(r Row, label string) Row {
 	return r
 }
 
-// runBaseline executes one baseline solver as a single-stage pipeline run:
-// the solver is wrapped in a func stage so the engine's validation and
-// state-threading are the same machinery the service endpoint uses, keeping
-// the harness an honest consumer of the production path.
-func runBaseline(ctx context.Context, sess *core.Session, set *constraints.Set, name string,
-	solve func(ctx context.Context, in *pipeline.State) (*core.Result, error)) Measures {
-	base := &pipeline.State{Index: sess.Index()}
-	needs := []pipeline.Artifact{pipeline.ArtifactLog}
-	if set != nil && set.Len() > 0 {
-		base.Constraints = set
-		needs = append(needs, pipeline.ArtifactConstraints)
-	}
-	stage := pipeline.NewFuncStage(name, "", needs, []pipeline.Artifact{pipeline.ArtifactAbstraction},
-		func(ctx context.Context, env *pipeline.Env, in *pipeline.State) (*pipeline.State, error) {
-			res, err := solve(ctx, in)
-			if err != nil {
-				return nil, err
-			}
-			next := *in
-			next.Abstraction = res
-			return &next, nil
-		})
+// runBaseline times one baseline solver and scores its result the way
+// GECCO's rows are scored; a solver error leaves only the time.
+func runBaseline(ctx context.Context, sess *core.Session, solve func(ctx context.Context) (*core.Result, error)) Measures {
 	start := time.Now()
-	out, err := pipeline.Run(ctx, []pipeline.Stage{stage}, base, pipeline.BaseKey("", ""), nil)
+	res, err := solve(ctx)
 	elapsed := time.Since(start)
 	if err != nil {
 		return Measures{Applicable: true, Seconds: elapsed.Seconds()}
 	}
-	return evaluate(ctx, sess, out.State.Abstraction, elapsed)
+	return evaluate(ctx, sess, res, elapsed)
 }
 
 func runBaselineQ(ctx context.Context, sess *core.Session, id SetID, opts Options) Measures {
@@ -341,8 +321,8 @@ func runBaselineQ(ctx context.Context, sess *core.Session, id SetID, opts Option
 	if !ok {
 		return Measures{}
 	}
-	return runBaseline(ctx, sess, set, "bl_q", func(ctx context.Context, in *pipeline.State) (*core.Result, error) {
-		return baselines.BLQ(ctx, sess, in.Constraints, core.Config{SolverTimeout: opts.SolverTimeout})
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
+		return baselines.BLQ(ctx, sess, set, core.Config{SolverTimeout: opts.SolverTimeout})
 	})
 }
 
@@ -354,8 +334,8 @@ func runBaselineP(ctx context.Context, sess *core.Session, opts Options) Measure
 	if n < 1 {
 		n = 1
 	}
-	return runBaseline(ctx, sess, nil, "bl_p", func(ctx context.Context, in *pipeline.State) (*core.Result, error) {
-		return baselines.BLP(ctx, in.Index, n, instances.SplitOnRepeat)
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
+		return baselines.BLP(ctx, sess.Index(), n, instances.SplitOnRepeat)
 	})
 }
 
@@ -376,7 +356,7 @@ func runBaselineG(ctx context.Context, sess *core.Session, id SetID, opts Option
 	for _, c := range set.Instance {
 		set2.Add(c)
 	}
-	return runBaseline(ctx, sess, set2, "bl_g", func(ctx context.Context, in *pipeline.State) (*core.Result, error) {
-		return baselines.BLG(ctx, in.Index, in.Constraints, instances.SplitOnRepeat)
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
+		return baselines.BLG(ctx, sess.Index(), set2, instances.SplitOnRepeat)
 	})
 }

@@ -271,27 +271,3 @@ func (c ConformStage) Run(ctx context.Context, env *Env, in *State) (*State, err
 	next.Conformance = &res
 	return &next, nil
 }
-
-// funcStage adapts a function into a Stage, for hosts that embed custom
-// steps — the experiments harness runs its BL_Q/BL_G baseline solvers as
-// engine stages this way.
-type funcStage struct {
-	name, digest    string
-	needs, provides []Artifact
-	run             func(ctx context.Context, env *Env, in *State) (*State, error)
-}
-
-// NewFuncStage wraps run as a Stage with the given identity. digest must be
-// a deterministic encoding of run's configuration if the stage is ever used
-// with a StageCache.
-func NewFuncStage(name, digest string, needs, provides []Artifact, run func(ctx context.Context, env *Env, in *State) (*State, error)) Stage {
-	return funcStage{name: name, digest: digest, needs: needs, provides: provides, run: run}
-}
-
-func (f funcStage) Name() string         { return f.name }
-func (f funcStage) Digest() string       { return f.digest }
-func (f funcStage) Needs() []Artifact    { return f.needs }
-func (f funcStage) Provides() []Artifact { return f.provides }
-func (f funcStage) Run(ctx context.Context, env *Env, in *State) (*State, error) {
-	return f.run(ctx, env, in)
-}

@@ -19,6 +19,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -95,7 +96,7 @@ func (d *diskStore) spillIndex(digest string, x *eventlog.Index) {
 	if _, err := os.Stat(path); err == nil {
 		return
 	}
-	if err := eventlog.WriteIndexFile(path, x); err != nil {
+	if err := atomicWriteFile(path, func(w io.Writer) error { return eventlog.WriteIndex(w, x) }); err != nil {
 		d.spillErrors.Add(1)
 		return
 	}
@@ -190,7 +191,10 @@ func (d *diskStore) saveResult(key string, res *JobResult) {
 		d.spillErrors.Add(1)
 		return
 	}
-	if err := atomicWriteFile(d.resultPath(key), data); err != nil {
+	if err := atomicWriteFile(d.resultPath(key), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		d.spillErrors.Add(1)
 		return
 	}
@@ -308,13 +312,17 @@ func (d *diskStore) stats() *DiskStats {
 	return st
 }
 
-func atomicWriteFile(path string, data []byte) error {
+// atomicWriteFile writes path with write: the bytes land in a temp file in
+// the same directory, are fsynced, and are renamed into place only if every
+// step succeeded, so a reader sees the old complete file or the new one,
+// never a torn write. On failure the temp file is removed.
+func atomicWriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -22,14 +22,9 @@ type SessionStats struct {
 	// pin: each session's columnar index (class arenas, attribute columns,
 	// dictionaries, bitsets) plus, for sessions that have served an
 	// infeasible solve, the lazily materialised log copy. Uploads are
-	// parsed straight into their index, so this is the whole per-log
-	// retention, not an addition to it.
+	// parsed straight into their index, and warm-opened indexes are decoded
+	// onto the heap, so this is the whole per-log retention.
 	IndexBytes int64 `json:"indexBytes"`
-	// MappedBytes is the summed size of file-backed index mappings pinned by
-	// live sessions that were warm-opened from the disk tier. These pages are
-	// not Go heap (the kernel reclaims them under pressure), which is why they
-	// are reported separately from IndexBytes rather than folded in.
-	MappedBytes int64 `json:"mappedBytes"`
 }
 
 // sessionEntry is one cached live session. The done channel coalesces
@@ -59,10 +54,7 @@ type sessionCache struct {
 	misses    int64
 	evictions int64
 	// store, when non-nil, is the warm tier: evicted sessions spill their
-	// index to disk, and misses try OpenIndex before re-parsing. Evicted
-	// indexes are never explicitly Closed — in-flight jobs may still hold the
-	// session — so mapped files are released by the finalizer once the last
-	// reference drops.
+	// index to disk, and misses try OpenIndex before re-parsing.
 	store *diskStore
 }
 
@@ -119,8 +111,8 @@ func (c *sessionCache) spillLocked(e *sessionEntry) {
 // check guards against the entry having been evicted and replaced meanwhile.
 //
 // The warm tier is tried first: a previously spilled index is opened from
-// disk (mmap, no parse, no build) and only the key's first-ever build calls
-// load. A corrupt or unreadable file falls back to load — openIndex already
+// disk (read and validated, no parse, no build) and only the key's
+// first-ever build calls load. A corrupt or unreadable file falls back to load — openIndex already
 // deleted it, so the fallback's eventual eviction re-spills a good copy.
 func (c *sessionCache) build(e *sessionEntry, digest string, load func() (*eventlog.Index, error)) (sess *core.Session, err error) {
 	defer func() {
@@ -142,7 +134,6 @@ func (c *sessionCache) build(e *sessionEntry, digest string, load func() (*event
 			if s, serr := core.NewSessionFromIndex(x); serr == nil {
 				return s, nil
 			}
-			x.Close()
 		}
 	}
 	x, err := load()
@@ -229,7 +220,6 @@ func (c *sessionCache) Stats() SessionStats {
 	c.lru.each(func(e *sessionEntry) {
 		if e.session != nil {
 			st.IndexBytes += e.session.EstimatedBytes()
-			st.MappedBytes += e.session.MappedBytes()
 		}
 	})
 	return st

@@ -42,7 +42,6 @@ func MergeStats(a, b Stats) Stats {
 	out.Sessions.Entries = a.Sessions.Entries + b.Sessions.Entries
 	out.Sessions.Capacity = a.Sessions.Capacity + b.Sessions.Capacity
 	out.Sessions.IndexBytes = a.Sessions.IndexBytes + b.Sessions.IndexBytes
-	out.Sessions.MappedBytes = a.Sessions.MappedBytes + b.Sessions.MappedBytes
 
 	out.Streams.Live = a.Streams.Live + b.Streams.Live
 	out.Streams.Capacity = a.Streams.Capacity + b.Streams.Capacity

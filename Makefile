@@ -69,11 +69,12 @@ fmt-check:
 # decoder to json.Unmarshal, FuzzParseSpecs the stage-list parser to its
 # round-trip properties, FuzzParseSet the constraint parser to its
 # canonical text, FuzzSolveCover branch and bound and the MIP to brute
-# force, FuzzReadCSV csvlog.ReadIndex to csvlog.Read, and FuzzReadIndex the
-# .gidx reader to its canonical rewrite. FuzzSolveCover and FuzzReadCSV add
-# their seeds in code; the others keep their seed corpora in each package's
-# testdata/fuzz. A short minimisation budget keeps a large new input from
-# stalling the run.
+# force, FuzzReadCSV csvlog.ReadIndex to csvlog.Read, FuzzReadIndex the
+# .gidx reader to its canonical rewrite, and FuzzStreamTrace the /stream
+# line decoder to its events and the online abstractor to no panic.
+# FuzzSolveCover and FuzzReadCSV add their seeds in code; the others keep
+# their seed corpora in each package's testdata/fuzz. A short minimisation
+# budget keeps a large new input from stalling the run.
 fuzz:
 	$(GO) test ./internal/xes -run '^$$' -fuzz '^FuzzReadXES$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s -fuzzminimizetime 2s
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/cover -run '^$$' -fuzz '^FuzzSolveCover$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/csvlog -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzStreamTrace$$' -fuzztime 30s -fuzzminimizetime 2s
 
 # bench/ is a module of its own, so `go test ./...` never builds it: vet and
 # test it on its own, offline, to catch changes to the packages it calls.

@@ -55,10 +55,17 @@ const (
 // immutable: a stage copies the struct, sets its outputs, and returns the
 // copy, so cached states can be shared between runs without aliasing
 // hazards. A State holds data only — never a live session — so caching a
-// state pins indexes but no solver memos.
+// state pins indexes but no solver memos. A base state may carry its log
+// as Load instead of Index; Run resolves it before any stage sees the
+// state, so no state a stage receives or the cache stores holds a loader.
 type State struct {
 	// Index is the working log view all stages operate on.
 	Index *eventlog.Index
+	// Load, on a base state, supplies the log on demand in place of Index.
+	// Run calls it at most once, and only when a stage is about to execute
+	// on the base state itself: a run that adopts its first stage from the
+	// cache never loads the log.
+	Load func() (*eventlog.Index, error)
 	// IndexKey identifies Index's content for session keying: the raw
 	// log's digest at the pipeline entry, re-derived by every
 	// index-transforming stage. Two runs whose filter prefixes agree share
@@ -96,7 +103,7 @@ func (s *State) View() *eventlog.Index {
 func (s *State) has(a Artifact) bool {
 	switch a {
 	case ArtifactLog:
-		return s.Index != nil
+		return s.Index != nil || s.Load != nil
 	case ArtifactConstraints:
 		return s.Constraints != nil && s.Constraints.Len() > 0
 	case ArtifactAbstraction:
@@ -168,7 +175,8 @@ type Result struct {
 }
 
 // Validate checks that every stage's needs are satisfied by the base state
-// or an earlier stage's provides, without running anything.
+// or an earlier stage's provides, without running anything. A base state's
+// Load counts as its log.
 func Validate(stages []Stage, base *State) error {
 	if len(stages) == 0 {
 		return fmt.Errorf("pipeline: no stages")
@@ -221,14 +229,17 @@ func writeStr(h hash.Hash, s string) {
 
 // Run validates and executes the stages against the base state. baseKey
 // anchors the stage-key chain (see BaseKey); env supplies host hooks and
-// may be nil. On a stage cache hit the cached state is adopted and the
-// stage is not executed — because keys chain, a hit guarantees every
-// upstream artifact is byte-identical to what a fresh run would produce.
+// may be nil. Every stage's key is looked up front to back, and on a stage
+// cache hit the cached state is adopted and the stage is not executed —
+// because keys chain, a hit guarantees every upstream artifact is
+// byte-identical to what a fresh run would produce. A base that carries its
+// log as Load is loaded when the first stage misses, inside that stage's
+// Duration, and not at all when the first stage hits.
 func Run(ctx context.Context, stages []Stage, base *State, baseKey string, env *Env) (*Result, error) {
 	if env == nil {
 		env = &Env{}
 	}
-	if base == nil || base.Index == nil {
+	if base == nil || !base.has(ArtifactLog) {
 		return nil, fmt.Errorf("pipeline: base state has no log")
 	}
 	if err := Validate(stages, base); err != nil {
@@ -249,7 +260,17 @@ func Run(ctx context.Context, stages []Stage, base *State, baseKey string, env *
 			}
 		}
 		t0 := time.Now()
-		next, err := st.Run(ctx, env, res.State)
+		in := res.State
+		if in.Load != nil {
+			x, err := in.Load()
+			if err != nil {
+				return nil, fmt.Errorf("pipeline: loading the base log: %w", err)
+			}
+			loaded := *in
+			loaded.Index, loaded.Load = x, nil
+			in = &loaded
+		}
+		next, err := st.Run(ctx, env, in)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), err)
 		}

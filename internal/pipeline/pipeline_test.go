@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -272,5 +273,66 @@ func TestRunCancellation(t *testing.T) {
 	_, err := Run(ctx, stages, baseState(t), BaseKey("d", ""), nil)
 	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("cancelled run returned %v", err)
+	}
+}
+
+// A base that carries its log as Load counts as having a log, and Run
+// loads it at most once, only when a stage is about to execute on it: a
+// run whose first stage hits never loads, and no state a stage receives or
+// the cache stores holds the loader.
+func TestRunLazyBase(t *testing.T) {
+	x := eventlog.NewIndex(procgen.RunningExampleTable1())
+	loads := 0
+	lazy := func() *State {
+		return &State{IndexKey: "test-log", Load: func() (*eventlog.Index, error) {
+			loads++
+			return x, nil
+		}}
+	}
+	if err := Validate([]Stage{DiscoverStage{}}, lazy()); err != nil {
+		t.Fatalf("a loader should count as the log: %v", err)
+	}
+	if _, err := Run(bg, []Stage{DiscoverStage{}}, &State{IndexKey: "test-log"}, BaseKey("d", ""), nil); err == nil {
+		t.Fatal("a base with neither Index nor Load ran")
+	}
+	stages, err := BuildStages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newMapCache()
+	env := &Env{Cache: cache}
+	key := BaseKey("d", "")
+	run := func(name string, sts []Stage, wantLoads int) {
+		t.Helper()
+		loads = 0
+		res, err := Run(bg, sts, lazy(), key, env)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if loads != wantLoads {
+			t.Fatalf("%s: loaded the base %d times, want %d", name, loads, wantLoads)
+		}
+		if res.State.Load != nil || res.State.Index == nil {
+			t.Fatalf("%s: the result state holds a loader or no index", name)
+		}
+		for k, st := range cache.states {
+			if st.Load != nil || st.Index == nil {
+				t.Fatalf("%s: cached state %s holds a loader or no index", name, k)
+			}
+		}
+	}
+	run("cold", stages, 1)
+	run("every stage cached", stages, 0)
+	run("tail stage misses", []Stage{stages[0], stages[1], stages[2], ConformStage{Details: true}}, 0)
+	run("first stage misses", append([]Stage{SuggestStage{Top: 2}}, stages[1:]...), 1)
+
+	failing := &State{IndexKey: "test-log", Load: func() (*eventlog.Index, error) {
+		return nil, errors.New("gone")
+	}}
+	if _, err := Run(bg, stages, failing, key, env); err != nil {
+		t.Fatalf("a run whose first stage hits called the loader: %v", err)
+	}
+	if _, err := Run(bg, []Stage{SuggestStage{Top: 1}}, failing, key, env); err == nil || !strings.Contains(err.Error(), "gone") {
+		t.Fatalf("a failed load returned %v", err)
 	}
 }

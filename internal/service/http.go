@@ -472,7 +472,11 @@ func (s *Service) openLog(req *Request, text *logText) error {
 	)
 	req.loadIndex = func() (*eventlog.Index, error) {
 		//lint:gecco-allow(oncesafe): a fresh Once per request is the point — every per-set copy of this one request shares the closure (and so this Once); single-flight across requests is the wire memo's job, not this loader's
-		parseOnce.Do(func() { parsed, parseErr = parseUpload(format, text.bytes()) })
+		parseOnce.Do(func() {
+			if parsed, parseErr = parseUpload(format, text.bytes()); parseErr == nil {
+				s.uploadsParsed.Add(1)
+			}
+		})
 		return parsed, parseErr
 	}
 	wk := wireID{format: format, sum: text.digest()}

@@ -14,16 +14,19 @@ import (
 
 	"gecco/internal/constraints"
 	"gecco/internal/core"
+	"gecco/internal/eventlog"
 	"gecco/internal/pipeline"
 )
 
 // preparePipeline checks a /pipeline request and resolves its stages and
-// base state, all before the run queues for a slot: the log (through the
-// wire memo), the constraints, the stage list, and whether the stages can
-// run on what the request supplies. Its errors are the client's.
+// base state before the run queues for a slot: the log (through the wire
+// memo), the constraints, the stage list, and whether the stages can run on
+// what the request supplies. Its errors are the client's. On a wire-memo
+// hit the base carries only the log's digest and a loader, which the run
+// calls in its slot, and only when its first stage misses.
 func (s *Service) preparePipeline(format string, env *PipelineHTTPRequest, text *logText) (stages []pipeline.Stage, base *pipeline.State, baseKey string, err error) {
-	req := Request{Tag: format}
-	if err := s.openLog(&req, text); err != nil {
+	req := &Request{Tag: format}
+	if err := s.openLog(req, text); err != nil {
 		return nil, nil, "", err
 	}
 	set, err := constraints.ParseSet(env.Constraints)
@@ -31,29 +34,33 @@ func (s *Service) preparePipeline(format string, env *PipelineHTTPRequest, text 
 		return nil, nil, "", fmt.Errorf("parsing constraints: %w", err)
 	}
 	req.Constraints = set
-	if err := validate(req); err != nil {
+	if err := validate(*req); err != nil {
 		return nil, nil, "", err
 	}
 	if stages, err = pipeline.BuildStages(env.Stages); err != nil {
 		return nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	// The working index: a live session's when the log is already known,
-	// so that the run's cached states share it instead of pinning a second
-	// copy; otherwise the upload's own, which a wire-memo hit parses only
-	// now.
-	base = &pipeline.State{IndexKey: req.logDigest()}
+	base = &pipeline.State{IndexKey: req.logDigest(), Load: s.baseLoader(req)}
 	if set.Len() > 0 {
 		base.Constraints = set
-	}
-	if sess, ok := s.peekSession(base.IndexKey); ok {
-		base.Index = sess.Index()
-	} else if base.Index, err = req.index(); err != nil {
-		return nil, nil, "", err
 	}
 	if err := pipeline.Validate(stages, base); err != nil {
 		return nil, nil, "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return stages, base, pipeline.BaseKey(base.IndexKey, set.String()), nil
+}
+
+// baseLoader returns the loader of a /pipeline run's base log. It takes a
+// live session's index, so that the run's cached states share it instead
+// of pinning a second copy, and otherwise the upload's own, parsed at most
+// once.
+func (s *Service) baseLoader(req *Request) func() (*eventlog.Index, error) {
+	return func() (*eventlog.Index, error) {
+		if sess, ok := s.peekSession(req.digest); ok {
+			return sess.Index(), nil
+		}
+		return req.index()
+	}
 }
 
 // runPipeline queues a prepared run for a concurrency slot, in the queue

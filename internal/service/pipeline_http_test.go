@@ -14,6 +14,7 @@ import (
 
 	"gecco/internal/pipeline"
 	"gecco/internal/procgen"
+	"gecco/internal/xes"
 )
 
 func postPipeline(t *testing.T, srv *httptest.Server, contentType, body string, params url.Values) (*http.Response, PipelineResponse) {
@@ -373,6 +374,107 @@ func TestHTTPPipelineWireMemo(t *testing.T) {
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatalf("re-upload answered differently:\n%s\n%s", outs[0], outs[1])
+	}
+}
+
+// loanSet is the constraint set loanPipeline's runs solve under.
+const loanSet = "distinct(class.org) <= 1\n|g| <= 8"
+
+// loanPipeline returns a 50-trace loan log as XES and a function building
+// the JSON envelope that uploads it through filter → abstract → discover →
+// conform, with the filter's topVariants and the discover stage's
+// edgeFilter as given.
+func loanPipeline(t *testing.T, seed int64) (logXES string, body func(topVariants, edgeFilter float64) string) {
+	t.Helper()
+	var b strings.Builder
+	if err := xes.Write(&b, procgen.LoanLog(50, seed)); err != nil {
+		t.Fatal(err)
+	}
+	logXES = b.String()
+	return logXES, func(topVariants, edgeFilter float64) string {
+		env, err := json.Marshal(map[string]any{
+			"format":      "xes",
+			"log":         logXES,
+			"constraints": loanSet,
+			"stages": []map[string]any{
+				{"stage": "filter", "topVariants": topVariants},
+				{"stage": "abstract", "mode": "dfg"},
+				{"stage": "discover", "edgeFilter": edgeFilter},
+				{"stage": "conform"},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(env)
+	}
+}
+
+// mustPipeline posts a /pipeline JSON envelope and fails unless it is
+// answered with 200.
+func mustPipeline(t *testing.T, srv *httptest.Server, body string) {
+	t.Helper()
+	if resp, out := postPipeline(t, srv, "application/json", body, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %+v", resp.StatusCode, out)
+	}
+}
+
+// A byte-identical re-upload whose filter and abstract stages hit the stage
+// cache parses nothing: no stage reads the upload, so the run never loads
+// it, although no live session holds the raw log. An upload that fails to
+// parse is not counted, and no state the stage cache holds pins an upload.
+func TestHTTPPipelineReuploadParsesNothing(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	_, body := loanPipeline(t, 17)
+	malformed := `{"format": "xes", "log": "<log><trace></log>", "stages": [{"stage": "discover"}]}`
+	if resp, out := postPipeline(t, srv, "application/json", malformed, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed upload: status %d, want 400: %+v", resp.StatusCode, out)
+	}
+	if n := svc.Stats().Uploads.Parsed; n != 0 {
+		t.Fatalf("uploads.parsed = %d after an upload that failed to parse, want 0", n)
+	}
+	mustPipeline(t, srv, body(0.9, 0.8))
+	mustPipeline(t, srv, body(0.9, 0.75))
+	var st Stats
+	getJSON(t, srv.URL+"/stats", &st)
+	if st.Uploads.Parsed != 1 {
+		t.Fatalf("uploads.parsed = %d after a re-upload whose log no stage read, want 1", st.Uploads.Parsed)
+	}
+	want := map[string]StageCounters{
+		"filter":   {Hits: 1, Misses: 1},
+		"abstract": {Hits: 1, Misses: 1},
+		"discover": {Misses: 2},
+		"conform":  {Misses: 2},
+	}
+	if !reflect.DeepEqual(st.Pipeline.Stages, want) {
+		t.Fatalf("stage counters %+v, want %+v", st.Pipeline.Stages, want)
+	}
+	svc.pipe.mu.Lock()
+	defer svc.pipe.mu.Unlock()
+	svc.pipe.lru.each(func(st *pipeline.State) {
+		if st.Index == nil || st.Load != nil {
+			t.Errorf("a cached %+v holds a loader or no index", st)
+		}
+	})
+}
+
+// A re-upload whose first stage misses takes its base log from a live
+// session that holds it, and parses nothing.
+func TestHTTPPipelineBaseFromLiveSession(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	logXES, body := loanPipeline(t, 17)
+	params := url.Values{"constraints": {"distinct(class.org) <= 1"}}
+	if resp, out := postAbstract(t, srv, logXES, params); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %+v", resp.StatusCode, out)
+	}
+	before := svc.Stats()
+	mustPipeline(t, srv, body(0.7, 0.8))
+	after := svc.Stats()
+	if after.Uploads.Parsed != before.Uploads.Parsed {
+		t.Fatalf("uploads.parsed %d → %d, want no parse", before.Uploads.Parsed, after.Uploads.Parsed)
+	}
+	if after.Sessions.Hits != before.Sessions.Hits+1 {
+		t.Fatalf("session hits %d → %d, want the run to use the log's session", before.Sessions.Hits, after.Sessions.Hits)
 	}
 }
 

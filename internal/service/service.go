@@ -50,7 +50,8 @@ type Options struct {
 	// MaxQueued bounds the jobs and /pipeline runs waiting for a
 	// concurrency slot; beyond it new non-coalescing requests are rejected
 	// with ErrBusy (HTTP 503) as backpressure — each waiting run pins its
-	// parsed index in memory. <= 0 means 4×MaxConcurrent.
+	// upload in memory, and its parsed index too unless the wire memo knew
+	// the upload. <= 0 means 4×MaxConcurrent.
 	MaxQueued int
 	// CacheCapacity is the number of results the LRU retains; <= 0 means
 	// the default (256). Use NoCache to disable caching.
@@ -271,9 +272,20 @@ type JobStats struct {
 	Queued   int   `json:"queued"`
 }
 
+// UploadStats counts the upload path's work on uploaded logs.
+type UploadStats struct {
+	// Parsed counts uploads parsed into an index; an upload that fails to
+	// parse is not counted. A re-upload the wire memo knows is parsed only
+	// when a run needs its events and no live session holds them (for
+	// /abstract, nor the warm tier), and the sets of a batch share one
+	// parse.
+	Parsed int64 `json:"parsed"`
+}
+
 // Stats is the /stats payload.
 type Stats struct {
-	Cache CacheStats `json:"cache"`
+	Cache   CacheStats  `json:"cache"`
+	Uploads UploadStats `json:"uploads"`
 	// Sessions reports the session-cache layer under the result cache: hits
 	// are jobs that reused a live per-log session (warm index and distance
 	// memo) instead of rebuilding it.
@@ -325,7 +337,9 @@ type Service struct {
 	coalesced    atomic.Int64
 	panicked     atomic.Int64
 	pipelineRuns atomic.Int64
-	active       sync.WaitGroup
+	// uploadsParsed counts the parses openLog's loaders run.
+	uploadsParsed atomic.Int64
+	active        sync.WaitGroup
 
 	// draining marks the service as leaving rotation: /readyz reports 503 so
 	// routers and load balancers stop sending new work, while liveness and
@@ -528,7 +542,7 @@ func (s *Service) Busy() bool {
 
 // Stats snapshots cache and job counters.
 func (s *Service) Stats() Stats {
-	st := Stats{Cache: s.cache.Stats()}
+	st := Stats{Cache: s.cache.Stats(), Uploads: UploadStats{Parsed: s.uploadsParsed.Load()}}
 	if s.sessions != nil {
 		st.Sessions = s.sessions.Stats()
 	}
@@ -646,9 +660,9 @@ func (s *Service) startOrJoin(key string, req *Request, detached bool) (job *Job
 
 // queueLocked admits one run to the queue of runs waiting for a
 // concurrency slot, the queue Busy reports on. Beyond MaxQueued waiting
-// runs it fails with ErrBusy: each of them pins its log's index. An
-// admitted run is active until its caller calls s.active.Done. Requires
-// s.mu.
+// runs it fails with ErrBusy: each of them pins its upload, and its parsed
+// index too unless the wire memo knew the upload. An admitted run is
+// active until its caller calls s.active.Done. Requires s.mu.
 func (s *Service) queueLocked() error {
 	if s.queued >= s.opts.MaxQueued {
 		return fmt.Errorf("%w: %d jobs waiting (max %d)", ErrBusy, s.queued, s.opts.MaxQueued)

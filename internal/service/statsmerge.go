@@ -36,6 +36,8 @@ func MergeStats(a, b Stats) Stats {
 	out.Cache.Entries = a.Cache.Entries + b.Cache.Entries
 	out.Cache.Capacity = a.Cache.Capacity + b.Cache.Capacity
 
+	out.Uploads.Parsed = a.Uploads.Parsed + b.Uploads.Parsed
+
 	out.Sessions.Hits = a.Sessions.Hits + b.Sessions.Hits
 	out.Sessions.Misses = a.Sessions.Misses + b.Sessions.Misses
 	out.Sessions.Evictions = a.Sessions.Evictions + b.Sessions.Evictions

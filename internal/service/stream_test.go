@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"gecco/internal/constraints"
+	"gecco/internal/core"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
+	"gecco/internal/stream"
 )
 
 // wireTrace renders an event-model trace as its NDJSON wire form.
@@ -384,4 +387,44 @@ func TestHTTPStreamCancellationMidStream(t *testing.T) {
 	if h.StatusCode != http.StatusOK {
 		t.Fatalf("healthz %d after cancelled stream", h.StatusCode)
 	}
+}
+
+// FuzzStreamTrace decodes one NDJSON line as handleStream does, with
+// json.Unmarshal into a StreamTrace and then toTrace. An accepted trace
+// must carry the line's events in order under their wire classes, and
+// pushing it three times into an abstractor that regroups on every
+// arrival must neither panic nor fail. The regroups run on one worker
+// under a check budget, a count cut, so a line with many classes costs a
+// bounded time per input.
+func FuzzStreamTrace(f *testing.F) {
+	set, err := constraints.ParseSet("distinct(role) <= 1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := stream.Config{WindowSize: 3, RefreshEvery: 1, Pipeline: core.Config{Workers: 1}}
+	cfg.Pipeline.Budget.MaxChecks = 1 << 14
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var wt StreamTrace
+		if json.Unmarshal(line, &wt) != nil {
+			return
+		}
+		tr, err := wt.toTrace(1)
+		if err != nil {
+			return
+		}
+		if len(tr.Events) != len(wt.Events) {
+			t.Fatalf("accepted %d events of the line's %d", len(tr.Events), len(wt.Events))
+		}
+		for i := range tr.Events {
+			if tr.Events[i].Class != wt.Events[i].Class {
+				t.Fatalf("event %d has class %q, the line %q", i+1, tr.Events[i].Class, wt.Events[i].Class)
+			}
+		}
+		a := stream.New(set, cfg)
+		for i := 0; i < 3; i++ {
+			if _, err := a.Push(tr); err != nil {
+				t.Fatalf("push %d: %v", i+1, err)
+			}
+		}
+	})
 }

@@ -8,23 +8,20 @@ MAX_REGRESS ?= 0.25
 # The one definition of the gate's measurement configs: bench, bench-gate and
 # bench-baseline all expand it, so the checked-in baseline cannot drift from
 # what the gate measures. -stream-bench adds the online abstractor's
-# per-arrival rows, so the gate also guards streaming cost regressions;
-# -index-bench adds columnar index build-throughput and bytes/event rows plus
-# the restart cost rows (IndexCold = re-parse+build, IndexOpen = OpenIndex on
-# the persistent file, with a hard >= 5x open-vs-cold floor), so it guards
-# both the event-log core's memory layout and the persistent format's point;
-# -pipeline-bench adds the staged engine's end-to-end rows (cold, fully
-# cached warm, and tail-only change) so the /pipeline serving path and its
-# stage cache are guarded too; -shard-bench adds cluster throughput at 1, 2
-# and 4 shards through the digest router (with a hard >= 2.5x 4-shard-vs-1
-# floor), so the gate also guards the scale-out claim of the sharded
-# serving layer.
-BENCH_FLAGS = -table 6 -quick -stream-bench -index-bench -eval-bench -pipeline-bench -shard-bench
+# per-arrival rows at two window sizes (with a hard flat-in-the-window
+# floor); -index-bench adds columnar index build-throughput and bytes/event
+# rows plus the restart cost rows (IndexCold = re-parse+build, IndexOpen =
+# OpenIndex on the persistent file, with a hard >= 5x open-vs-cold floor);
+# -eval-bench adds the solver kernels' rows (screened constraint checks,
+# cold-memo distance evaluations, beam pruning). The serving path (sessions,
+# /pipeline, the shard router) is measured by bench/ instead, and its hard
+# floors are tests in `go test ./...`.
+BENCH_FLAGS = -table 6 -quick -stream-bench -index-bench -eval-bench
 # Where `make serve` keeps the warm tier (spilled session indexes, persisted
 # results); `make clean-data` wipes it.
 DATA_DIR ?= gecco-data
 
-.PHONY: build test race vet lint staticcheck fmt-check fuzz bench bench-check bench-gate bench-baseline shard-bench serve examples clean-data all
+.PHONY: build test race vet lint staticcheck fmt-check fuzz bench bench-check bench-gate bench-baseline serve examples clean-data all
 
 all: build vet lint fmt-check test
 
@@ -102,12 +99,6 @@ bench-gate:
 # the reference machine, commit the result).
 bench-baseline:
 	$(GO) run ./cmd/gecco-bench $(BENCH_FLAGS) -json $(BASELINE)
-
-# Just the scale-out measurement: 1/2/4-shard cluster throughput through the
-# digest router, with the hard >= 2.5x 4-shard floor. Fast enough to run on
-# its own while touching the router or the ring.
-shard-bench:
-	$(GO) run ./cmd/gecco-bench -table none -shard-bench
 
 # Build and smoke-run every example program, so example drift fails CI
 # instead of rotting silently.

@@ -8,14 +8,16 @@
 //	gecco-bench -table all          # everything (minutes)
 //	gecco-bench -table 5 -quick     # Table V on a subset, small budgets
 //	gecco-bench -figures -out figs/ # DOT files for the figures
-//	gecco-bench -table none -session-bench
-//	                                # cold vs warm constraint sweep (session reuse)
 //	gecco-bench -table none -stream-bench
 //	                                # online per-arrival cost, flat in window size
 //
-// CI benchmark gate:
+// CI benchmark gate (make bench-gate):
 //
-//	gecco-bench -table 6 -quick -stream-bench -json BENCH_pr.json -baseline BENCH_baseline.json
+//	gecco-bench -table 6 -quick -stream-bench -index-bench -eval-bench \
+//	    -json BENCH_pr.json -baseline BENCH_baseline.json
+//
+// The serving path (sessions, /pipeline, the shard router) is measured end
+// to end by the benchmark of record under bench/, not here.
 //
 // -json writes the measured rows (per-config wall-time and distance) in a
 // machine-readable report; -baseline compares them against a checked-in
@@ -52,19 +54,17 @@ import (
 // benchReport is the machine-readable format of -json; rows are keyed by
 // configuration label (Exh, DFG∞, DFGk).
 type benchReport struct {
-	Table    string            `json:"table"`
-	Quick    bool              `json:"quick"`
-	Budget   int               `json:"budget"`
-	Stream   bool              `json:"streamBench"`
-	Index    bool              `json:"indexBench"`
-	Eval     bool              `json:"evalBench"`
-	Pipeline bool              `json:"pipelineBench"`
-	Shard    bool              `json:"shardBench"`
-	GOOS     string            `json:"goos"`
-	GOARCH   string            `json:"goarch"`
-	NumCPU   int               `json:"numCPU"`
-	Workers  int               `json:"workers"`
-	Rows     []experiments.Row `json:"rows"`
+	Table   string            `json:"table"`
+	Quick   bool              `json:"quick"`
+	Budget  int               `json:"budget"`
+	Stream  bool              `json:"streamBench"`
+	Index   bool              `json:"indexBench"`
+	Eval    bool              `json:"evalBench"`
+	GOOS    string            `json:"goos"`
+	GOARCH  string            `json:"goarch"`
+	NumCPU  int               `json:"numCPU"`
+	Workers int               `json:"workers"`
+	Rows    []experiments.Row `json:"rows"`
 }
 
 func main() {
@@ -77,11 +77,8 @@ func main() {
 		budget     = flag.Int("budget", 0, "candidate checks per problem (0 = default)")
 		timeout    = flag.Duration("solver-timeout", 0, "Step 2 limit per problem (0 = default)")
 		workers    = flag.Int("workers", 0, "worker threads per problem (0 = all cores, 1 = the paper's sequential runs)")
-		sessions   = flag.Bool("session-bench", false, "measure the fixed loan-log refinement sweep: cold (pipeline per set) vs warm (one session)")
 		streams    = flag.Bool("stream-bench", false, "measure the online abstractor's per-arrival cost at window sizes 200 and 2000 (rows feed -json/-baseline; fails if the cost is not flat in the window)")
 		evals      = flag.Bool("eval-bench", false, "measure the solver kernels in isolation: screened HoldsInstance checks/s, exact Eq. 1 distance evals/s on a cold memo, and the beam frontier prune rate of the admissible lower bound (rows feed -json/-baseline; fails if screening or pruning never fires)")
-		pipelines  = flag.Bool("pipeline-bench", false, "measure the staged pipeline engine end to end on the loan-application case study: the cold filter→abstract→discover→conform run, the fully cached warm re-run (bounding the engine's per-request overhead), and a tail-only change that must adopt the cached abstract stage (rows feed -json/-baseline; fails if any cached stage re-executes)")
-		shardsB    = flag.Bool("shard-bench", false, "measure cluster throughput through the digest router at 1, 2, and 4 in-process shards on the Table VI workload (rows feed -json/-baseline; fails unless 4-shard throughput is >= 2.5x single-shard)")
 		indexes    = flag.Bool("index-bench", false, "measure the columnar index: build throughput (events/s), estimated bytes/event vs the pointer-heavy *Log, and restart cost (re-parse+build vs OpenIndex on the persistent file); fails unless the index is >= 2x smaller and OpenIndex >= 5x faster")
 		jsonOut    = flag.String("json", "", "write the measured rows as a JSON bench report to this file")
 		baseline   = flag.String("baseline", "", "compare the measured rows against this JSON bench report and fail on regression")
@@ -160,37 +157,19 @@ func main() {
 		}
 		measured = append(measured, rows...)
 	}
-	if *pipelines {
-		rows, err := experiments.PipelineBench(ctx, os.Stdout, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gecco-bench:", err)
-			os.Exit(1)
-		}
-		measured = append(measured, rows...)
-	}
-	if *shardsB {
-		rows, err := experiments.ShardBench(ctx, os.Stdout, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gecco-bench:", err)
-			os.Exit(1)
-		}
-		measured = append(measured, rows...)
-	}
 	if *jsonOut != "" {
 		report := benchReport{
-			Table:    *table,
-			Quick:    *quick,
-			Budget:   opts.MaxChecks,
-			Stream:   *streams,
-			Index:    *indexes,
-			Eval:     *evals,
-			Pipeline: *pipelines,
-			Shard:    *shardsB,
-			GOOS:     runtime.GOOS,
-			GOARCH:   runtime.GOARCH,
-			NumCPU:   runtime.NumCPU(),
-			Workers:  *workers,
-			Rows:     measured,
+			Table:   *table,
+			Quick:   *quick,
+			Budget:  opts.MaxChecks,
+			Stream:  *streams,
+			Index:   *indexes,
+			Eval:    *evals,
+			GOOS:    runtime.GOOS,
+			GOARCH:  runtime.GOARCH,
+			NumCPU:  runtime.NumCPU(),
+			Workers: *workers,
+			Rows:    measured,
 		}
 		if err := writeReport(*jsonOut, report); err != nil {
 			fmt.Fprintln(os.Stderr, "gecco-bench:", err)
@@ -199,18 +178,12 @@ func main() {
 		fmt.Printf("bench report written to %s\n", *jsonOut)
 	}
 	if *baseline != "" {
-		current := benchReport{Table: *table, Quick: *quick, Budget: opts.MaxChecks, Stream: *streams, Index: *indexes, Eval: *evals, Pipeline: *pipelines, Shard: *shardsB, Workers: *workers}
+		current := benchReport{Table: *table, Quick: *quick, Budget: opts.MaxChecks, Stream: *streams, Index: *indexes, Eval: *evals, Workers: *workers}
 		if err := gate(*baseline, current, measured, *maxRegress); err != nil {
 			fmt.Fprintln(os.Stderr, "gecco-bench: REGRESSION GATE FAILED:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("regression gate passed (max tolerated wall-time regression %.0f%%)\n", *maxRegress*100)
-	}
-	if *sessions {
-		if err := sessionBench(opts); err != nil {
-			fmt.Fprintln(os.Stderr, "gecco-bench:", err)
-			os.Exit(1)
-		}
 	}
 	if *detail {
 		run("per-problem detail (DFGk)", func() {
@@ -264,11 +237,10 @@ func gate(baselinePath string, current benchReport, measured []experiments.Row, 
 	if base.Table != current.Table || base.Quick != current.Quick ||
 		base.Budget != current.Budget || base.Workers != current.Workers ||
 		base.Stream != current.Stream || base.Index != current.Index ||
-		base.Eval != current.Eval || base.Pipeline != current.Pipeline ||
-		base.Shard != current.Shard {
-		return fmt.Errorf("run settings (table=%s quick=%t budget=%d workers=%d stream=%t index=%t eval=%t pipeline=%t shard=%t) do not match baseline (table=%s quick=%t budget=%d workers=%d stream=%t index=%t eval=%t pipeline=%t shard=%t); rerun with the baseline's flags or regenerate it",
-			current.Table, current.Quick, current.Budget, current.Workers, current.Stream, current.Index, current.Eval, current.Pipeline, current.Shard,
-			base.Table, base.Quick, base.Budget, base.Workers, base.Stream, base.Index, base.Eval, base.Pipeline, base.Shard)
+		base.Eval != current.Eval {
+		return fmt.Errorf("run settings (table=%s quick=%t budget=%d workers=%d stream=%t index=%t eval=%t) do not match baseline (table=%s quick=%t budget=%d workers=%d stream=%t index=%t eval=%t); rerun with the baseline's flags or regenerate it",
+			current.Table, current.Quick, current.Budget, current.Workers, current.Stream, current.Index, current.Eval,
+			base.Table, base.Quick, base.Budget, base.Workers, base.Stream, base.Index, base.Eval)
 	}
 	if base.GOOS != runtime.GOOS || base.GOARCH != runtime.GOARCH || base.NumCPU != runtime.NumCPU() {
 		fmt.Printf("gate WARNING: baseline recorded on %s/%s numCPU=%d, this run is %s/%s numCPU=%d — wall-times are only roughly comparable\n",
@@ -339,91 +311,6 @@ func gate(baselinePath string, current benchReport, measured []experiments.Row, 
 			labels = append(labels, o.label)
 		}
 		return fmt.Errorf("%d measurement(s) regressed beyond the allowed threshold: %v", len(offenders), labels)
-	}
-	return nil
-}
-
-// sessionBench measures the workload the session engine targets: an
-// interactive refinement sweep re-abstracting one log under progressively
-// tightened constraint sets (the §VI-D case-study constraint with shrinking
-// group-size bounds — exactly what an analyst comparing granularities
-// runs). Cold runs the full pipeline per set; warm builds one core.Session
-// and solves the same sets on it, so sets 2..N start with the index, DFG,
-// and a warm distance memo. Results must match exactly — the speedup is
-// free, not bought with approximation — so any divergence is a hard error.
-func sessionBench(opts experiments.Options) error {
-	log := procgen.LoanLog(1000, 17)
-	sweep := []string{
-		"distinct(class.org) <= 1",
-		"distinct(class.org) <= 1\n|g| <= 8",
-		"distinct(class.org) <= 1\n|g| <= 6",
-		"distinct(class.org) <= 1\n|g| <= 4",
-	}
-	cfg := core.Config{
-		Mode:    core.DFGUnbounded,
-		Workers: opts.Workers,
-	}
-	if opts.MaxChecks > 0 {
-		cfg.Budget.MaxChecks = opts.MaxChecks
-	}
-	sets := make([]*gecco.ConstraintSet, len(sweep))
-	for i, text := range sweep {
-		set, err := gecco.ParseConstraints(text)
-		if err != nil {
-			return err
-		}
-		sets[i] = set
-	}
-
-	fmt.Printf("session reuse — refinement sweep of %d constraint sets on %s (%d traces):\n",
-		len(sets), log.Name, len(log.Traces))
-	coldTimes := make([]time.Duration, len(sets))
-	cold := make([]*core.Result, len(sets))
-	t0 := time.Now()
-	for i, set := range sets {
-		t := time.Now()
-		res, err := core.Run(log, set, cfg)
-		if err != nil {
-			return err
-		}
-		cold[i], coldTimes[i] = res, time.Since(t)
-	}
-	coldTotal := time.Since(t0)
-
-	t1 := time.Now()
-	sess, err := core.NewSession(log)
-	if err != nil {
-		return err
-	}
-	build := time.Since(t1)
-	warmTimes := make([]time.Duration, len(sets))
-	warm := make([]*core.Result, len(sets))
-	t2 := time.Now()
-	for i, set := range sets {
-		t := time.Now()
-		res, err := sess.Solve(context.Background(), set, cfg)
-		if err != nil {
-			return err
-		}
-		warm[i], warmTimes[i] = res, time.Since(t)
-	}
-	warmTotal := time.Since(t2)
-
-	for i := range sets {
-		if cold[i].Feasible != warm[i].Feasible || cold[i].Distance != warm[i].Distance ||
-			cold[i].NumCandidates != warm[i].NumCandidates {
-			return fmt.Errorf("session bench: set %d diverged between cold and warm runs (dist %v vs %v)",
-				i+1, cold[i].Distance, warm[i].Distance)
-		}
-		fmt.Printf("  set %d: cold %8v   warm %8v\n",
-			i+1, coldTimes[i].Round(time.Millisecond), warmTimes[i].Round(time.Millisecond))
-	}
-	fmt.Printf("  total: cold %v, warm %v (+ %v one-time session build)\n",
-		coldTotal.Round(time.Millisecond), warmTotal.Round(time.Millisecond), build.Round(time.Millisecond))
-	if warmTotal > 0 {
-		fmt.Printf("  sweep speedup %.2fx; warm solves after the first: %.2fx (results identical)\n",
-			float64(coldTotal)/float64(warmTotal),
-			float64(coldTotal-coldTimes[0])/float64(warmTotal-warmTimes[0]))
 	}
 	return nil
 }

@@ -80,12 +80,9 @@ func main() {
 
 	opts := service.Options{
 		MaxConcurrent:   *maxJobs,
-		CacheCapacity:   *cacheSize,
-		NoCache:         *cacheSize <= 0,
-		SessionCapacity: *sessions,
-		NoSessions:      *sessions <= 0,
-		MaxStreams:      *streams,
-		NoStreams:       *streams <= 0,
+		CacheCapacity:   capacity(*cacheSize),
+		SessionCapacity: capacity(*sessions),
+		MaxStreams:      capacity(*streams),
 		DefaultWorkers:  *workers,
 		DataDir:         *dataDir,
 	}
@@ -223,6 +220,15 @@ func newServer(addr string, h http.Handler) *http.Server {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// capacity maps a "0 = disable" capacity flag onto service.Options, where
+// 0 picks the default and a negative value turns the feature off.
+func capacity(flagValue int) int {
+	if flagValue <= 0 {
+		return -1
+	}
+	return flagValue
 }
 
 // listenPort extracts the numeric port of a listen address like ":8080" or

@@ -1,13 +1,12 @@
 // Package logfilter provides the standard event-log preprocessing
 // operations applied before abstraction and discovery: variant-frequency
 // filtering (the trace-level analogue of the paper's 80/20 DFG views),
-// time-window and attribute slicing, class projection, and deterministic
-// sampling. All functions consume and produce columnar eventlog.Index
-// views — inputs are never mutated, and outputs are rebuilt through the
-// sanctioned eventlog.Builder path so that downstream stages (sessions,
-// discovery, conformance) operate on a first-class index, not a
-// materialised pointer log. Cancelling ctx aborts a copy mid-trace and
-// returns an error wrapping ctx.Err().
+// class projection, and deterministic sampling. All functions consume and
+// produce columnar eventlog.Index views — inputs are never mutated, and
+// outputs are rebuilt through the sanctioned eventlog.Builder path so that
+// downstream stages (sessions, discovery, conformance) operate on a
+// first-class index, not a materialised pointer log. Cancelling ctx aborts
+// a copy mid-trace and returns an error wrapping ctx.Err().
 package logfilter
 
 import (
@@ -16,7 +15,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"gecco/internal/eventlog"
 )
@@ -70,43 +68,6 @@ func MinVariantCount(ctx context.Context, x *eventlog.Index, n int) (*eventlog.I
 	return selectTraces(ctx, x, func(t int) bool {
 		return counts[variantString(x, x.TraceVariant[t])] >= n
 	})
-}
-
-// TimeWindow keeps the traces whose first event falls in [from, to).
-// Traces without timestamps are dropped.
-func TimeWindow(ctx context.Context, x *eventlog.Index, from, to time.Time) (*eventlog.Index, error) {
-	col := x.Column(eventlog.AttrTimestamp)
-	return selectTraces(ctx, x, func(t int) bool {
-		if x.TraceLen(t) == 0 || col == nil {
-			return false
-		}
-		ts, ok := col.Time(x.TraceStart(t))
-		return ok && !ts.Before(from) && ts.Before(to)
-	})
-}
-
-// WhereTrace keeps traces for which pred returns true; pred receives the
-// index and a trace position.
-func WhereTrace(ctx context.Context, x *eventlog.Index, pred func(x *eventlog.Index, t int) bool) (*eventlog.Index, error) {
-	return selectTraces(ctx, x, func(t int) bool { return pred(x, t) })
-}
-
-// HasAttrValue returns a trace predicate matching traces containing at
-// least one event whose attribute equals the given (string) value.
-func HasAttrValue(attr, value string) func(*eventlog.Index, int) bool {
-	return func(x *eventlog.Index, t int) bool {
-		col := x.Column(attr)
-		if col == nil {
-			return false
-		}
-		start, n := x.TraceStart(t), x.TraceLen(t)
-		for pos := start; pos < start+n; pos++ {
-			if k, ok := col.Key(pos); ok && k == value {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // ProjectClasses keeps only the events whose class is in the given set;

@@ -3,7 +3,6 @@ package logfilter
 import (
 	"context"
 	"testing"
-	"time"
 
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
@@ -61,37 +60,6 @@ func TestMinVariantCount(t *testing.T) {
 	out := must(t)(MinVariantCount(bg, idx(log), 2))
 	if len(out.Traces) != 2 {
 		t.Fatalf("kept %d, want 2", len(out.Traces))
-	}
-}
-
-func TestTimeWindow(t *testing.T) {
-	base := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	log := &eventlog.Log{}
-	for d := 0; d < 5; d++ {
-		ev := eventlog.Event{Class: "a"}
-		ev.SetAttr(eventlog.AttrTimestamp, eventlog.Time(base.AddDate(0, 0, d)))
-		log.Traces = append(log.Traces, eventlog.Trace{ID: "t", Events: []eventlog.Event{ev}})
-	}
-	out := must(t)(TimeWindow(bg, idx(log), base.AddDate(0, 0, 1), base.AddDate(0, 0, 4)))
-	if len(out.Traces) != 3 {
-		t.Fatalf("kept %d, want 3 (days 1,2,3)", len(out.Traces))
-	}
-	// Traces without timestamps are dropped.
-	noTS := mkLog([]string{"a"})
-	if got := must(t)(TimeWindow(bg, idx(noTS), base, base.AddDate(1, 0, 0))); len(got.Traces) != 0 {
-		t.Fatal("timestamp-less trace kept")
-	}
-}
-
-func TestWhereTraceAndHasAttrValue(t *testing.T) {
-	log := procgen.RunningExampleTable1()
-	rejected := must(t)(WhereTrace(bg, idx(log), HasAttrValue(eventlog.AttrRole, "manager")))
-	if len(rejected.Traces) != 4 {
-		t.Fatalf("every Table I trace has a manager event, got %d", len(rejected.Traces))
-	}
-	none := must(t)(WhereTrace(bg, idx(log), HasAttrValue(eventlog.AttrRole, "cfo")))
-	if len(none.Traces) != 0 {
-		t.Fatal("nonexistent attribute value matched")
 	}
 }
 

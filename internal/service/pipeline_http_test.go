@@ -305,7 +305,8 @@ func TestHTTPPipelineChecksBeforeWaiting(t *testing.T) {
 // one slot held and room for one waiter, a waiting /pipeline fills the
 // queue, and the next /pipeline is shed exactly as /abstract is.
 func TestHTTPPipelineSharesQueue(t *testing.T) {
-	srv, svc := newTestServer(t, Options{MaxConcurrent: 1, MaxQueued: 1})
+	srv, svc := newTestServer(t, Options{MaxConcurrent: 1})
+	svc.maxQueued = 1
 	blocker := holdSlot(t, svc)
 	logXES := runningExampleXES(t)
 	u := "?" + url.Values{"constraints": {"distinct(role) <= 1"}}.Encode()
@@ -358,7 +359,7 @@ func TestHTTPPipelineSharesQueue(t *testing.T) {
 // upload teaches the memo its digest, and a byte-identical re-upload, which
 // then parses nothing, gets the same response.
 func TestHTTPPipelineWireMemo(t *testing.T) {
-	srv, svc := newTestServer(t, Options{NoCache: true})
+	srv, svc := newTestServer(t, Options{CacheCapacity: -1})
 	logXES := runningExampleXES(t)
 	params := url.Values{"constraints": {"distinct(role) <= 1"}}
 	var outs [][]byte

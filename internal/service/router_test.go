@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -659,5 +660,110 @@ func TestRouterRejectsMalformedEnvelope(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || out.Error != want {
 			t.Fatalf("%s: status %d %q, want 400 %q", body, rec.Code, out.Error, want)
 		}
+	}
+}
+
+// scaleOutSets are the six Table VI core sets (A, M, N, Gr, C1, C2), each
+// with the §VI-A group-size cap, in wire form: one batch request solves all
+// six against one log, as Table VI visits each (log, set) cell.
+var scaleOutSets = []string{
+	"distinct(role) <= 3\n|g| <= 8",
+	"sum(duration) >= 101\n|g| <= 8",
+	"avg(duration) <= 500000\n|g| <= 8",
+	"|G| <= 3\n|g| <= 8",
+	"distinct(role) <= 3\navg(duration) <= 500000\n|G| <= 3\n|g| <= 8",
+	"distinct(role) <= 3\nsum(duration) >= 101\navg(duration) <= 500000\n|G| <= 3\n|g| <= 8",
+}
+
+// scaleOutSeeds are chosen so that the serialised log of slot i lands on
+// shard i%4 of the 4-member ring and on shard i%2 of the 2-member ring, and
+// so that its six-set batch solves in tens of milliseconds. Consistent
+// hashing balances only in expectation; with 8 keys a natural placement
+// can pile most of the working set onto one shard.
+var scaleOutSeeds = [8]int64{7100, 8102, 9101, 10163, 11108, 12100, 13106, 14102}
+
+// TestRouterScaleOutIsCacheCapacity pins what adding shards buys: aggregate
+// cache capacity, not CPU. Every shard keeps 15 results and 4 sessions, and
+// the working set is 8 logs × 6 sets = 48 results. On 1 shard both LRUs
+// thrash cyclically; on 2 the sessions (4 logs each) fit while the results
+// (24 each) still thrash; on 4 everything fits (2 logs and 12 results
+// each), so the second round is all result-cache hits. Requests go one at
+// a time through shard 0's router: a warm-up round, then the measured one.
+// The per-shard job counts also pin the balanced placement. Counters cannot
+// see a slower router hop or hit path; the benchmark's repeat-hot workload
+// times both.
+func TestRouterScaleOutIsCacheCapacity(t *testing.T) {
+	bodies := make([][]byte, len(scaleOutSeeds))
+	for i, seed := range scaleOutSeeds {
+		log := procgen.BuildLog(procgen.CollectionSpec{
+			Ref:           fmt.Sprintf("sb%02d", i),
+			Classes:       8 + i%5,
+			Traces:        80,
+			Seed:          seed,
+			PaperVariants: 40,
+			PaperAvgLen:   float64(10 + i%5),
+		})
+		body, err := json.Marshal(AbstractRequest{
+			Log:            xesText(t, log),
+			ConstraintSets: scaleOutSets,
+			Mode:           "dfg",
+			OmitAbstracted: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	for _, want := range []struct {
+		shards                     int
+		cacheHits                  int64
+		sessionHits, sessionMisses int64
+		jobs                       []int64
+	}{
+		{1, 0, 80, 16, []int64{96}},
+		{2, 0, 88, 8, []int64{48, 48}},
+		{4, 48, 40, 8, []int64{12, 12, 12, 12}},
+	} {
+		t.Run(fmt.Sprintf("%d shards", want.shards), func(t *testing.T) {
+			c := newTestCluster(t, want.shards, Options{MaxConcurrent: 1, CacheCapacity: 15, SessionCapacity: 4})
+			for round := 0; round < 2; round++ {
+				for i, body := range bodies {
+					resp, err := http.Post(c.servers[0].URL+"/abstract", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var batch BatchResponse
+					err = json.NewDecoder(resp.Body).Decode(&batch)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || len(batch.Results) != len(scaleOutSets) {
+						t.Fatalf("round %d, log %d: status %d, %d results, decode error %v",
+							round, i, resp.StatusCode, len(batch.Results), err)
+					}
+					for j, item := range batch.Results {
+						if item.Error != "" {
+							t.Fatalf("round %d, log %d, set %d: %s", round, i, j+1, item.Error)
+						}
+					}
+				}
+			}
+			var sum Stats
+			jobs := make([]int64, want.shards)
+			for i, srv := range c.servers {
+				st := localStats(t, srv)
+				sum = MergeStats(sum, st)
+				jobs[i] = st.Jobs.Started
+			}
+			cache, sessions := sum.Cache, sum.Sessions
+			lookups := int64(2 * len(bodies) * len(scaleOutSets))
+			if cache.Hits != want.cacheHits || cache.Hits+cache.Misses != lookups ||
+				sessions.Hits != want.sessionHits || sessions.Misses != want.sessionMisses ||
+				fmt.Sprint(jobs) != fmt.Sprint(want.jobs) {
+				t.Errorf("result-cache hits %d of %d, session hits/misses %d/%d, jobs per shard %v; "+
+					"want %d of %d, %d/%d, %v. If the placement moved, re-derive scaleOutSeeds so that every "+
+					"cluster size splits the logs evenly; do not loosen these counts",
+					cache.Hits, cache.Hits+cache.Misses, sessions.Hits, sessions.Misses, jobs,
+					want.cacheHits, lookups, want.sessionHits, want.sessionMisses, want.jobs)
+			}
+		})
 	}
 }

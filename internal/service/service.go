@@ -43,38 +43,28 @@ import (
 type JobResult = core.Result
 
 // Options tunes the service; zero values pick serving-friendly defaults.
+// A negative capacity turns its feature off.
 type Options struct {
 	// MaxConcurrent bounds the number of pipeline runs executing at once;
-	// further jobs queue. <= 0 means one per CPU.
+	// further jobs queue, up to 4×MaxConcurrent waiting runs. <= 0 means
+	// one per CPU.
 	MaxConcurrent int
-	// MaxQueued bounds the jobs and /pipeline runs waiting for a
-	// concurrency slot; beyond it new non-coalescing requests are rejected
-	// with ErrBusy (HTTP 503) as backpressure — each waiting run pins its
-	// upload in memory, and its parsed index too unless the wire memo knew
-	// the upload. <= 0 means 4×MaxConcurrent.
-	MaxQueued int
-	// CacheCapacity is the number of results the LRU retains; <= 0 means
-	// the default (256). Use NoCache to disable caching.
+	// CacheCapacity is the number of results the LRU retains; 0 means the
+	// default (256). Negative disables the result cache and the /pipeline
+	// stage cache entirely.
 	CacheCapacity int
-	// NoCache disables the result cache and the /pipeline stage cache
-	// entirely.
-	NoCache bool
 	// SessionCapacity bounds the LRU of live per-log sessions (index, DFG,
 	// warm distance memo) kept under the result cache, so a repeat log with
 	// fresh constraints skips the constraint-independent analysis. Each
-	// session pins its log's index and memos in memory. <= 0 means 16; use
-	// NoSessions to disable.
+	// session pins its log's index and memos in memory. 0 means 16.
+	// Negative disables the session cache: every job rebuilds its log's
+	// analysis state from scratch.
 	SessionCapacity int
-	// NoSessions disables the session cache: every job rebuilds its log's
-	// analysis state from scratch, as before the session engine.
-	NoSessions bool
 	// MaxStreams bounds the named online-abstractor states kept live for
 	// POST /stream (each pins a window of traces plus its grouping).
 	// Creating a stream beyond the bound evicts the least recently used
-	// one. <= 0 means 64; use NoStreams to disable the endpoint.
+	// one. 0 means 64. Negative disables the streaming endpoint.
 	MaxStreams int
-	// NoStreams disables the streaming workload entirely.
-	NoStreams bool
 	// DefaultWorkers is the per-job worker count applied when a request
 	// leaves Config.Workers at 0; 0 keeps the pipeline default (all CPUs).
 	DefaultWorkers int
@@ -95,32 +85,28 @@ type Options struct {
 	JobIDPrefix string
 }
 
+// withDefaults fills in the defaults; afterwards a capacity of 0 means
+// the feature is off.
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = runtime.NumCPU()
 	}
-	if o.MaxQueued <= 0 {
-		o.MaxQueued = 4 * o.MaxConcurrent
-	}
-	if o.CacheCapacity <= 0 {
-		o.CacheCapacity = 256
-	}
-	if o.NoCache {
-		o.CacheCapacity = 0
-	}
-	if o.SessionCapacity <= 0 {
-		o.SessionCapacity = 16
-	}
-	if o.NoSessions {
-		o.SessionCapacity = 0
-	}
-	if o.MaxStreams <= 0 {
-		o.MaxStreams = 64
-	}
-	if o.NoStreams {
-		o.MaxStreams = 0
-	}
+	o.CacheCapacity = capacityOrDefault(o.CacheCapacity, 256)
+	o.SessionCapacity = capacityOrDefault(o.SessionCapacity, 16)
+	o.MaxStreams = capacityOrDefault(o.MaxStreams, 64)
 	return o
+}
+
+// capacityOrDefault maps a capacity option onto its bound: 0 picks def,
+// and a negative value turns the feature off (0).
+func capacityOrDefault(n, def int) int {
+	switch {
+	case n == 0:
+		return def
+	case n < 0:
+		return 0
+	}
+	return n
 }
 
 // Fixed bounds of the serving layer's bookkeeping.
@@ -307,15 +293,21 @@ type Stats struct {
 type Service struct {
 	opts     Options
 	cache    *Cache
-	sessions *sessionCache  // nil when NoSessions
-	streams  *streamManager // nil when NoStreams
+	sessions *sessionCache  // nil when sessions are off
+	streams  *streamManager // nil when streaming is off
 	store    *diskStore     // nil when DataDir unset or unusable
 	pipe     *stageCache    // nil when the pipeline cache is disabled
 	wire     *wireMemo      // upload wire identity -> canonical log digest
 	sem      chan struct{}
 
+	// maxQueued bounds the jobs and /pipeline runs waiting for a
+	// concurrency slot; beyond it new non-coalescing requests are rejected
+	// with ErrBusy (HTTP 503) as backpressure — each waiting run pins its
+	// upload in memory, and its parsed index too unless the wire memo knew
+	// the upload. It is 4×MaxConcurrent.
+	maxQueued int
 	// maxRetainedResults and sessionMemoLimit start at the constants of
-	// the same names; tests lower them right after New.
+	// the same names. Tests lower these three bounds right after New.
 	maxRetainedResults int
 	sessionMemoLimit   int
 
@@ -375,7 +367,7 @@ func New(opts Options) *Service {
 		store.loadResults(cache)
 	}
 	var pipe *stageCache
-	if !opts.NoCache {
+	if opts.CacheCapacity > 0 {
 		pipe = newStageCache(pipelineCacheCapacity)
 	}
 	return &Service{
@@ -392,6 +384,7 @@ func New(opts Options) *Service {
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
 
+		maxQueued:          4 * opts.MaxConcurrent,
 		maxRetainedResults: maxRetainedResults,
 		sessionMemoLimit:   sessionMemoLimit,
 	}
@@ -537,7 +530,7 @@ func (s *Service) dropInflightLocked(job *Job) {
 func (s *Service) Busy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued >= s.opts.MaxQueued
+	return s.queued >= s.maxQueued
 }
 
 // Stats snapshots cache and job counters.
@@ -659,13 +652,13 @@ func (s *Service) startOrJoin(key string, req *Request, detached bool) (job *Job
 }
 
 // queueLocked admits one run to the queue of runs waiting for a
-// concurrency slot, the queue Busy reports on. Beyond MaxQueued waiting
+// concurrency slot, the queue Busy reports on. Beyond maxQueued waiting
 // runs it fails with ErrBusy: each of them pins its upload, and its parsed
 // index too unless the wire memo knew the upload. An admitted run is
 // active until its caller calls s.active.Done. Requires s.mu.
 func (s *Service) queueLocked() error {
-	if s.queued >= s.opts.MaxQueued {
-		return fmt.Errorf("%w: %d jobs waiting (max %d)", ErrBusy, s.queued, s.opts.MaxQueued)
+	if s.queued >= s.maxQueued {
+		return fmt.Errorf("%w: %d jobs waiting (max %d)", ErrBusy, s.queued, s.maxQueued)
 	}
 	s.queued++
 	s.active.Add(1)

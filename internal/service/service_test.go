@@ -346,12 +346,13 @@ func TestCancelStopsPipelineWithoutCollateral(t *testing.T) {
 	t.Fatalf("pipeline still running after cancel: %+v", st.Jobs)
 }
 
-// Beyond MaxQueued waiting jobs, new non-coalescing requests are rejected
+// Beyond maxQueued waiting jobs, new non-coalescing requests are rejected
 // with ErrBusy instead of pinning unbounded parsed logs in memory;
 // coalescing joins stay exempt.
 func TestQueueBackpressure(t *testing.T) {
-	svc := New(Options{MaxConcurrent: 1, MaxQueued: 1})
+	svc := New(Options{MaxConcurrent: 1})
 	defer svc.Close()
+	svc.maxQueued = 1
 
 	blocker, err := svc.Submit(slowRequest(t))
 	if err != nil {
@@ -551,19 +552,19 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 // no session holds its log — fails that job and is counted, and the
 // service keeps serving.
 func TestJobPanicFailsJob(t *testing.T) {
-	for _, opts := range []Options{{}, {NoSessions: true}} {
+	for _, opts := range []Options{{}, {SessionCapacity: -1}} {
 		svc := New(opts)
 		req := roleRequest(t)
 		req.Index, req.digest = nil, "digest of an upload whose loader panics"
 		req.loadIndex = func() (*eventlog.Index, error) { panic("loader bug") }
 		if _, _, err := svc.Do(context.Background(), req); err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("NoSessions=%v: err = %v, want the job to fail with the panic", opts.NoSessions, err)
+			t.Fatalf("SessionCapacity=%d: err = %v, want the job to fail with the panic", opts.SessionCapacity, err)
 		}
 		if st := svc.Stats().Jobs; st.Panicked != 1 || st.Failed != 1 {
-			t.Fatalf("NoSessions=%v: jobs = %+v, want 1 panicked and 1 failed", opts.NoSessions, st)
+			t.Fatalf("SessionCapacity=%d: jobs = %+v, want 1 panicked and 1 failed", opts.SessionCapacity, st)
 		}
 		if _, _, err := svc.Do(context.Background(), roleRequest(t)); err != nil {
-			t.Fatalf("NoSessions=%v: service stopped serving after a panic: %v", opts.NoSessions, err)
+			t.Fatalf("SessionCapacity=%d: service stopped serving after a panic: %v", opts.SessionCapacity, err)
 		}
 		svc.Close()
 	}

@@ -107,10 +107,11 @@ func TestSessionCacheEviction(t *testing.T) {
 	}
 }
 
-// TestNoSessionsDisablesCache checks the opt-out: with NoSessions the
-// service falls back to a full pipeline per job and reports zero capacity.
+// TestNoSessionsDisablesCache checks the opt-out: with a negative
+// SessionCapacity the service falls back to a full pipeline per job and
+// reports zero capacity.
 func TestNoSessionsDisablesCache(t *testing.T) {
-	svc := New(Options{NoSessions: true})
+	svc := New(Options{SessionCapacity: -1})
 	defer svc.Close()
 	req := roleRequest(t)
 	if _, _, err := svc.Do(context.Background(), req); err != nil {
@@ -118,7 +119,7 @@ func TestNoSessionsDisablesCache(t *testing.T) {
 	}
 	st := svc.Stats().Sessions
 	if st != (SessionStats{}) {
-		t.Fatalf("session stats with NoSessions = %+v, want zero", st)
+		t.Fatalf("session stats with sessions off = %+v, want zero", st)
 	}
 }
 

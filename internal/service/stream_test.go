@@ -267,7 +267,7 @@ func TestHTTPStreamValidation(t *testing.T) {
 	}
 
 	// Disabled streaming is a 404 on every stream route.
-	srvOff, _ := newTestServer(t, Options{NoStreams: true})
+	srvOff, _ := newTestServer(t, Options{MaxStreams: -1})
 	for _, req := range []func() (*http.Response, error){
 		func() (*http.Response, error) {
 			return http.Post(srvOff.URL+"/stream?"+streamParamsWith(nil).Encode(), "", strings.NewReader(""))

@@ -354,3 +354,41 @@ func TestPushContextCancellation(t *testing.T) {
 		t.Fatal("cancelled context did not fail the initial regroup")
 	}
 }
+
+// TestPushAllocsIndependentOfWindow is the exact counterpart of
+// gecco-bench -stream-bench's flat-in-the-window floor: with regrouping out
+// of reach, an arrival allocates as much at W=2000 as at W=200, so no
+// arrival allocates per windowed trace. A rescan that allocates nothing
+// would still pass, which is why -stream-bench keeps its timed check.
+func TestPushAllocsIndependentOfWindow(t *testing.T) {
+	const warmup, runs = 2000, 200
+	traces := procgen.RunningExample(warmup+runs+1, 41).Traces
+	allocs := make([]float64, 0, 2)
+	for _, window := range []int{200, 2000} {
+		a := New(roleSet(), Config{
+			WindowSize:     window,
+			RefreshEvery:   1 << 30,
+			DriftThreshold: -1,
+			Pipeline:       core.Config{Mode: core.DFGUnbounded},
+		})
+		for _, tr := range traces[:warmup] {
+			if _, err := a.Push(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		regroupings, next := a.Regroupings, warmup
+		allocs = append(allocs, testing.AllocsPerRun(runs, func() {
+			if _, err := a.Push(traces[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}))
+		if a.Regroupings != regroupings {
+			t.Fatalf("W=%d: %d regroupings during the measured arrivals", window, a.Regroupings-regroupings)
+		}
+	}
+	t.Logf("allocations per arrival: %v at W=200, %v at W=2000", allocs[0], allocs[1])
+	if allocs[0] != allocs[1] {
+		t.Fatalf("allocations per arrival grow with the window: %v at W=200, %v at W=2000", allocs[0], allocs[1])
+	}
+}

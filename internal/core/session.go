@@ -114,9 +114,6 @@ func (s *Session) EstimatedBytes() int64 { return s.indexBytes + s.logBytes.Load
 // Index returns the session's interned view of the log.
 func (s *Session) Index() *eventlog.Index { return s.x }
 
-// Graph returns the log's directly-follows graph.
-func (s *Session) Graph() *dfg.Graph { return s.graph }
-
 // Calc returns the session's shared distance calculator for the policy,
 // creating it on first use. Its memo is warm across solves.
 func (s *Session) Calc(policy instances.Policy) *distance.Calc {

@@ -67,9 +67,6 @@ func (c *Column) StringsOnly() bool { return c.kind == KindString && c.kinds == 
 // NumCodes returns the size of the string dictionary.
 func (c *Column) NumCodes() int { return len(c.dict) }
 
-// CodeString returns the string value of a dictionary code.
-func (c *Column) CodeString(code uint32) string { return c.dict[code] }
-
 // Code returns the dictionary code of the string value at pos; ok is false
 // when the attribute is absent or not string-valued there.
 func (c *Column) Code(pos int) (uint32, bool) {

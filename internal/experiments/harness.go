@@ -25,6 +25,16 @@ type Options struct {
 	Logs          []*eventlog.Log
 }
 
+// config is the solver configuration of one problem in the given mode.
+func (o Options) config(mode core.Mode) core.Config {
+	return core.Config{
+		Mode:          mode,
+		Workers:       o.Workers,
+		Budget:        candidates.Budget{MaxChecks: o.MaxChecks},
+		SolverTimeout: o.SolverTimeout,
+	}
+}
+
 func (o Options) withDefaults() Options {
 	if o.MaxChecks == 0 {
 		o.MaxChecks = 12000
@@ -96,14 +106,8 @@ func RunProblemSession(ctx context.Context, sess *core.Session, id SetID, mode c
 	if !ok {
 		return Measures{}
 	}
-	cfg := core.Config{
-		Mode:          mode,
-		Workers:       opts.Workers,
-		Budget:        candidates.Budget{MaxChecks: opts.MaxChecks},
-		SolverTimeout: opts.SolverTimeout,
-	}
 	start := time.Now()
-	res, err := sess.Solve(ctx, set, cfg)
+	res, err := sess.Solve(ctx, set, opts.config(mode))
 	elapsed := time.Since(start)
 	if err != nil {
 		return Measures{Applicable: true, Seconds: elapsed.Seconds()}
@@ -115,9 +119,8 @@ func RunProblemSession(ctx context.Context, sess *core.Session, id SetID, mode c
 // driver sweeping constraint sets and configurations pays each log's
 // indexing once and shares its distance memo across all problems. The
 // one-time session build is *billed to the log's first solved problem*:
-// the benchmark gate consumes the tables' Seconds, and excluding the
-// constraint-independent phase entirely would blind it to regressions in
-// indexing or DFG construction.
+// leaving the constraint-independent phase out of the tables' runtimes
+// would hide a slower index or DFG build from them.
 type sessionPool struct {
 	sessions map[*eventlog.Log]*core.Session
 	pending  map[*eventlog.Log]time.Duration // build time not yet billed
@@ -184,22 +187,16 @@ func (a *aggregate) add(m Measures) {
 	a.dist += m.Dist
 }
 
-// Row is an aggregated result row for any of the tables. The JSON tags are
-// the machine-readable bench format consumed by the CI regression gate
-// (gecco-bench -json / -baseline).
+// Row is an aggregated result row for any of the tables.
 type Row struct {
-	Label   string  `json:"label"`
-	Solved  float64 `json:"solved"`
-	SRed    float64 `json:"sred"`
-	CRed    float64 `json:"cred"`
-	Sil     float64 `json:"sil"`
-	Seconds float64 `json:"seconds"`
-	Dist    float64 `json:"dist"` // mean grouping distance over solved problems
-	N       int     `json:"n"`    // applicable problems
-	// BytesPerEvent is set only by the index-build benchmark rows: the
-	// columnar index's estimated footprint per event, gated against the
-	// baseline like wall-time.
-	BytesPerEvent float64 `json:"bytesPerEvent,omitempty"`
+	Label   string
+	Solved  float64
+	SRed    float64
+	CRed    float64
+	Sil     float64
+	Seconds float64
+	Dist    float64 // mean grouping distance over solved problems
+	N       int     // applicable problems
 }
 
 func (a *aggregate) row(label string) Row {
@@ -235,6 +232,9 @@ func Table5(ctx context.Context, opts Options) []Row {
 	return rows
 }
 
+// table6Modes are the three configurations of Table VI, in its row order.
+var table6Modes = []core.Mode{core.Exhaustive, core.DFGUnbounded, core.DFGBeam}
+
 // Table6 runs the three configurations over the core constraint sets
 // (paper Table VI). Sessions are shared per log across sets and
 // configurations — Eq. 1 depends on neither, so the distance memo warms up
@@ -242,9 +242,8 @@ func Table5(ctx context.Context, opts Options) []Row {
 func Table6(ctx context.Context, opts Options) []Row {
 	opts = opts.withDefaults()
 	pool := newSessionPool()
-	modes := []core.Mode{core.Exhaustive, core.DFGUnbounded, core.DFGBeam}
 	var rows []Row
-	for _, mode := range modes {
+	for _, mode := range table6Modes {
 		agg := &aggregate{}
 		for _, id := range CoreSets() {
 			for _, log := range opts.Logs {

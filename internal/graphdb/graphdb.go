@@ -38,12 +38,11 @@ type Edge struct {
 type Graph struct {
 	nodes []Node
 	out   map[int][]Edge
-	in    map[int][]Edge
 }
 
 // New creates an empty graph.
 func New() *Graph {
-	return &Graph{out: make(map[int][]Edge), in: make(map[int][]Edge)}
+	return &Graph{out: make(map[int][]Edge)}
 }
 
 // AddNode inserts a node and returns its id.
@@ -63,26 +62,11 @@ func (g *Graph) AddEdge(from, to int, typ string, weight float64) error {
 	}
 	e := Edge{From: from, To: to, Type: typ, Weight: weight}
 	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
 	return nil
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // Node returns the node with the given id.
 func (g *Graph) Node(id int) *Node { return &g.nodes[id] }
-
-// NodesByLabel returns ids of nodes with the label.
-func (g *Graph) NodesByLabel(label string) []int {
-	var out []int
-	for _, n := range g.nodes {
-		if n.Label == label {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
 
 // Result is a query result: each path is a node-id sequence.
 type Result struct {

@@ -118,16 +118,6 @@ func Missing(x *eventlog.Index, inst *Instance, g bitset.Set) int {
 	return g.Len() - present.Len()
 }
 
-// DistinctClasses returns the number of distinct classes in the instance.
-func DistinctClasses(x *eventlog.Index, inst *Instance) int {
-	present := bitset.New(x.NumClasses())
-	seq := x.Seq(inst.Trace)
-	for _, pos := range inst.Positions {
-		present.Add(int(seq[pos]))
-	}
-	return present.Len()
-}
-
 // ClassCountsInto tallies the instance's per-class event counts into the
 // caller-provided counts slice (len >= NumClasses, zeroed on entry for every
 // class the instance can touch) and appends each first-seen class id to

@@ -264,6 +264,16 @@ func TestSpecParsing(t *testing.T) {
 	if _, err := BuildStages([]StageSpec{{Stage: "abstract", Mode: "warp"}}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
+	// A negative count is refused, not run as 0 under a key of its own.
+	for _, sp := range []StageSpec{
+		{Stage: "abstract", BeamWidth: -7},
+		{Stage: "abstract", MaxChecks: -1},
+		{Stage: "abstract", Workers: -1},
+	} {
+		if _, err := BuildStages([]StageSpec{sp}); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Fatalf("BuildStages(%+v) = %v, want a negative-count error", sp, err)
+		}
+	}
 }
 
 func TestRunCancellation(t *testing.T) {

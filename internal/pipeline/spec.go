@@ -137,6 +137,16 @@ func (sp StageSpec) build() (Stage, error) {
 // (mode, strategy, policy, solver): POST /abstract and POST /stream read
 // theirs through it too.
 func (sp StageSpec) SolverConfig() (core.Config, error) {
+	// A negative count would do the work of 0 under a cache key of its
+	// own, and negative workers would mean all CPUs.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"beamWidth", sp.BeamWidth}, {"maxChecks", sp.MaxChecks}, {"workers", sp.Workers}} {
+		if f.n < 0 {
+			return core.Config{}, fmt.Errorf("%s=%d must not be negative", f.name, f.n)
+		}
+	}
 	cfg := core.Config{
 		BeamWidth:          sp.BeamWidth,
 		Workers:            sp.Workers,

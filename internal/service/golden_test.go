@@ -116,6 +116,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		{"solver", "solver", "bogus"},
 		{"constraint", "constraints", "not a constraint !!"},
 		{"maxchecks", "maxChecks", "10k"},
+		{"negative", "maxChecks", "-1"},
 	} {
 		cases = append(cases, one("400-abstract-"+c.name, raw("/abstract", abstract(c.field, c.value), logXES)))
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -172,8 +173,10 @@ func buildLiveStream(s *Service, name string, q url.Values) (*liveStream, error)
 		return nil, fmt.Errorf("%w: window %d exceeds the maximum of %d traces", ErrInvalidRequest, cfg.WindowSize, maxStreamWindow)
 	}
 	if raw := q.Get("drift"); raw != "" {
+		// NaN and ±Inf parse, but the ack line could not echo them:
+		// encoding/json refuses non-finite floats.
 		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("%w: query parameter drift=%q is not a number (negative disables drift detection)", ErrInvalidRequest, raw)
 		}
 		cfg.DriftThreshold = f

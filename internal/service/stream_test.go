@@ -253,16 +253,20 @@ func TestHTTPStreamValidation(t *testing.T) {
 	}
 	// Malformed, negative, or absurdly large numbers are a 400 — never
 	// silently-zero parameters, and never an eager multi-gigabyte ring
-	// allocation.
-	for _, window := range []string{"many", "-5", "2000000000"} {
-		resp, err = http.Post(srv.URL+"/stream?"+streamParamsWith(map[string]string{"window": window}).Encode(),
+	// allocation. A non-finite drift is a 400 too: the ack line could not
+	// echo it.
+	for _, p := range [][2]string{
+		{"window", "many"}, {"window", "-5"}, {"window", "2000000000"},
+		{"drift", "NaN"}, {"drift", "Inf"}, {"drift", "-Inf"},
+	} {
+		resp, err = http.Post(srv.URL+"/stream?"+streamParamsWith(map[string]string{p[0]: p[1]}).Encode(),
 			"application/x-ndjson", strings.NewReader(""))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d for window=%s", resp.StatusCode, window)
+			t.Fatalf("status %d for %s=%s", resp.StatusCode, p[0], p[1])
 		}
 	}
 

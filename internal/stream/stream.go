@@ -23,7 +23,6 @@ import (
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
-	"gecco/internal/instances"
 )
 
 // PipelineFunc runs one full GECCO pipeline over the current window. The
@@ -419,6 +418,3 @@ func (a *Abstractor) abstractOne(tr eventlog.Trace) eventlog.Trace {
 	}
 	return out
 }
-
-// Policy returns the instance policy the online abstraction mirrors.
-func Policy() instances.Policy { return instances.SplitOnRepeat }

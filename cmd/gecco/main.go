@@ -227,7 +227,7 @@ func runPipeline(log *gecco.Log, specArg string, set *gecco.ConstraintSet, outPa
 	}
 	fmt.Printf("pipeline total: %s\n", time.Since(start).Round(time.Millisecond))
 	if outPath != "" && state.Abstraction != nil && state.Abstraction.Feasible {
-		return writeLog(outPath, state.Abstraction.Abstracted)
+		return writeLog(outPath, state.Abstracted.ReconstructLog())
 	}
 	return nil
 }

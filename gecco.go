@@ -178,9 +178,10 @@ func NewSession(log *Log) (*Session, error) {
 // Log returns a log equivalent to the one the session was built from (same
 // name, trace ids, event order and attribute values, serialising
 // byte-identically) — not the original *Log pointer, which the session
-// releases at construction. The copy is materialised from the columnar
-// index on first use and cached for the session's lifetime.
-func (s *Session) Log() *Log { return s.s.Log() }
+// releases at construction. Each call materialises a fresh copy from the
+// columnar index, which the caller owns; the session keeps none, so keep
+// the copy rather than calling Log repeatedly.
+func (s *Session) Log() *Log { return s.s.Index().ReconstructLog() }
 
 // Solve runs the pipeline on the session's log under textual constraints.
 func (s *Session) Solve(constraintText string, cfg Config) (*Result, error) {

@@ -52,8 +52,11 @@ func AutoNames(x *eventlog.Index, groups []bitset.Set, prefix string) []string {
 }
 
 // Apply abstracts the log under the grouping. Every event class must be
-// covered by exactly one group; Apply returns an error otherwise.
-func Apply(x *eventlog.Index, grouping Grouping, strategy Strategy, policy instances.Policy) (*eventlog.Log, error) {
+// covered by exactly one group; Apply returns an error otherwise. The
+// abstracted log is built through an eventlog.Builder, so it comes out in
+// the columnar form the serving layer holds and serialises; callers that
+// want a *Log call ReconstructLog on it.
+func Apply(x *eventlog.Index, grouping Grouping, strategy Strategy, policy instances.Policy) (*eventlog.Index, error) {
 	if len(grouping.Groups) != len(grouping.Names) {
 		return nil, fmt.Errorf("abstraction: %d groups but %d names", len(grouping.Groups), len(grouping.Names))
 	}
@@ -85,7 +88,8 @@ func Apply(x *eventlog.Index, grouping Grouping, strategy Strategy, policy insta
 		}
 	}
 
-	out := &eventlog.Log{Name: x.Name + " (abstracted)"}
+	b := eventlog.NewBuilder()
+	b.SetName(x.Name + " (abstracted)")
 	timeCol := x.Column(eventlog.AttrTimestamp)
 	for t := 0; t < x.NumTraces(); t++ {
 		base := x.TraceStart(t)
@@ -111,25 +115,23 @@ func Apply(x *eventlog.Index, grouping Grouping, strategy Strategy, policy insta
 			}
 		}
 		sort.Slice(markers, func(i, j int) bool { return markers[i].pos < markers[j].pos })
-		tr := eventlog.Trace{ID: x.TraceID(t), Events: make([]eventlog.Event, 0, len(markers))}
+		b.StartTrace(x.TraceID(t))
 		for _, m := range markers {
-			ev := eventlog.Event{Class: grouping.Names[m.group] + m.kind}
+			b.AddEvent(grouping.Names[m.group] + m.kind)
 			if timeCol != nil {
 				if ts, ok := timeCol.Time(base + m.src); ok {
-					ev.SetAttr(eventlog.AttrTimestamp, eventlog.Time(ts))
+					b.SetEventAttr(eventlog.AttrTimestamp, eventlog.Time(ts))
 				}
 			}
 			// XES-standard lifecycle annotation alongside the suffix, so
 			// exported logs interoperate with lifecycle-aware tooling.
 			switch m.kind {
 			case "+start":
-				ev.SetAttr(eventlog.AttrLifecycle, eventlog.String("start"))
+				b.SetEventAttr(eventlog.AttrLifecycle, eventlog.String("start"))
 			case "+complete":
-				ev.SetAttr(eventlog.AttrLifecycle, eventlog.String("complete"))
+				b.SetEventAttr(eventlog.AttrLifecycle, eventlog.String("complete"))
 			}
-			tr.Events = append(tr.Events, ev)
 		}
-		out.Traces = append(out.Traces, tr)
 	}
-	return out, nil
+	return b.Build(), nil
 }

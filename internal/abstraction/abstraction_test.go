@@ -28,13 +28,21 @@ func runningExampleGrouping(x *eventlog.Index) Grouping {
 
 func variant(tr *eventlog.Trace) string { return tr.Variant() }
 
-// §III-B: σ1 abstracts to ⟨clrk1, acc, clrk2⟩.
-func TestCompletionOnlySigma1(t *testing.T) {
-	x := eventlog.NewIndex(procgen.RunningExampleTable1())
-	out, err := Apply(x, runningExampleGrouping(x), CompletionOnly, instances.SplitOnRepeat)
+// applyLog is Apply under split-on-repeat with the abstracted index rebuilt
+// as a *Log, for assertions on traces and events.
+func applyLog(t *testing.T, x *eventlog.Index, g Grouping, strategy Strategy) *eventlog.Log {
+	t.Helper()
+	out, err := Apply(x, g, strategy, instances.SplitOnRepeat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out.ReconstructLog()
+}
+
+// §III-B: σ1 abstracts to ⟨clrk1, acc, clrk2⟩.
+func TestCompletionOnlySigma1(t *testing.T) {
+	x := eventlog.NewIndex(procgen.RunningExampleTable1())
+	out := applyLog(t, x, runningExampleGrouping(x), CompletionOnly)
 	if got := variant(&out.Traces[0]); got != "clrk1,acc,clrk2" {
 		t.Fatalf("σ1 abstracted to %q, want clrk1,acc,clrk2", got)
 	}
@@ -55,18 +63,12 @@ func TestStartCompleteInterleaving(t *testing.T) {
 	x := eventlog.NewIndex(log)
 	g := runningExampleGrouping(x)
 
-	co, err := Apply(x, g, CompletionOnly, instances.SplitOnRepeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := applyLog(t, x, g, CompletionOnly)
 	if got := variant(&co.Traces[0]); got != "clrk1,acc,clrk2" {
 		t.Fatalf("completion-only σ5 = %q", got)
 	}
 
-	sc, err := Apply(x, g, StartComplete, instances.SplitOnRepeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := applyLog(t, x, g, StartComplete)
 	got := variant(&sc.Traces[0])
 	want := "clrk1+start,clrk1+complete,clrk2+start,acc,clrk2+complete"
 	if got != want {
@@ -94,10 +96,7 @@ func TestApplyRejectsNonCover(t *testing.T) {
 
 func TestTimestampsCarriedOver(t *testing.T) {
 	x := eventlog.NewIndex(procgen.RunningExampleTable1())
-	out, err := Apply(x, runningExampleGrouping(x), CompletionOnly, instances.SplitOnRepeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := applyLog(t, x, runningExampleGrouping(x), CompletionOnly)
 	for _, tr := range out.Traces {
 		var prev eventlog.Event
 		for i, ev := range tr.Events {
@@ -137,10 +136,7 @@ func TestInvariantsOnSimulatedLog(t *testing.T) {
 	log := procgen.RunningExample(250, 17)
 	x := eventlog.NewIndex(log)
 	g := runningExampleGrouping(x)
-	out, err := Apply(x, g, CompletionOnly, instances.SplitOnRepeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := applyLog(t, x, g, CompletionOnly)
 	if len(out.Traces) != len(log.Traces) {
 		t.Fatalf("trace count changed: %d -> %d", len(log.Traces), len(out.Traces))
 	}
@@ -157,10 +153,7 @@ func TestInvariantsOnSimulatedLog(t *testing.T) {
 // Start+complete abstraction carries XES lifecycle annotations.
 func TestLifecycleAnnotations(t *testing.T) {
 	x := eventlog.NewIndex(procgen.RunningExampleTable1())
-	out, err := Apply(x, runningExampleGrouping(x), StartComplete, instances.SplitOnRepeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := applyLog(t, x, runningExampleGrouping(x), StartComplete)
 	starts, completes := 0, 0
 	for _, tr := range out.Traces {
 		for _, ev := range tr.Events {

@@ -312,7 +312,7 @@ func finishGrouping(x *eventlog.Index, groups []bitset.Set, policy instances.Pol
 		Feasible:   true,
 		Grouping:   grouping,
 		Distance:   dc.Grouping(groups),
-		Abstracted: abstracted,
+		Abstracted: abstracted.ReconstructLog(),
 	}
 	res.GroupClasses = make([][]string, len(groups))
 	for i, g := range groups {

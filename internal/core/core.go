@@ -114,7 +114,9 @@ type Result struct {
 	GroupClasses [][]string
 	Distance     float64
 	// Abstracted is the abstracted log L' when feasible; otherwise the
-	// original log, as the paper prescribes (§V-C).
+	// original log, as the paper prescribes (§V-C). Run, RunContext and
+	// Session.Solve fill it; Session.SolveIndex leaves it nil and returns
+	// the log as an Index instead.
 	Abstracted *eventlog.Log
 	// Diagnostics explains infeasibility (nil when feasible).
 	Diagnostics *constraints.Violations
@@ -153,10 +155,20 @@ func RunContext(ctx context.Context, log *eventlog.Log, set *constraints.Set, cf
 	if err != nil {
 		return nil, err
 	}
-	// Passing the log through preserves the historical contract that an
-	// infeasible one-shot run returns the caller's exact *Log — without the
-	// session materialising a copy only to have it discarded.
-	return s.solve(ctx, set, cfg, log)
+	res, abstracted, err := s.SolveIndex(ctx, set, cfg)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case abstracted == nil:
+	case res.Feasible:
+		res.Abstracted = abstracted.ReconstructLog()
+	default:
+		// The historical contract: an infeasible one-shot run returns the
+		// caller's exact *Log, not a copy of it.
+		res.Abstracted = log
+	}
+	return res, nil
 }
 
 // sortByFirstOccurrence orders groups by the position at which any of their

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gecco/internal/abstraction"
@@ -41,7 +40,9 @@ import (
 // is self-contained (class arena, attribute columns, trace ids and
 // attributes), so once NewSession returns, the pointer-heavy parsed log is
 // garbage-collectable — which is what keeps the serving layer's session and
-// stream LRUs small. Log() materialises an equivalent log on demand.
+// stream LRUs small. Solves add nothing to what a Session holds: an
+// infeasible one hands back the session's own Index, and the *Log that
+// Solve returns belongs to its caller.
 type Session struct {
 	x     *eventlog.Index
 	graph *dfg.Graph
@@ -56,13 +57,6 @@ type Session struct {
 	// indexBytes is the index footprint, computed once at construction so
 	// EstimatedBytes is O(1) — /stats polls it for every live session.
 	indexBytes int64
-
-	logOnce sync.Once
-	logCopy *eventlog.Log
-	// logBytes is the estimated footprint of the materialised log copy
-	// (zero until Log is first called); it counts towards EstimatedBytes so
-	// the serving layer's accounting reflects what the session really pins.
-	logBytes atomic.Int64
 }
 
 // NewSession indexes the log and builds its DFG — the expensive
@@ -91,25 +85,11 @@ func NewSessionFromIndex(x *eventlog.Index) (*Session, error) {
 	}, nil
 }
 
-// Log returns a log equivalent to the one the session was built from —
-// same name, trace ids, event order, and attribute values, serialising
-// byte-identically — materialised from the index on first use and cached
-// for the session's lifetime. (The original *Log is released at
-// construction; see the Session doc.)
-func (s *Session) Log() *eventlog.Log {
-	s.logOnce.Do(func() {
-		s.logCopy = s.x.ReconstructLog()
-		s.logBytes.Store(eventlog.EstimateLogBytes(s.logCopy))
-	})
-	return s.logCopy
-}
-
-// EstimatedBytes reports the approximate heap footprint the session pins:
-// the columnar index (arenas, offset tables, bitsets, attribute columns and
-// dictionaries) plus, once an infeasible solve or a Log() call has
-// materialised the log copy, that copy too. Both components are computed
-// once, so this is O(1) — the serving layer polls it for /stats.
-func (s *Session) EstimatedBytes() int64 { return s.indexBytes + s.logBytes.Load() }
+// EstimatedBytes reports the approximate heap footprint of the session's
+// columnar index (arenas, offset tables, bitsets, attribute columns and
+// dictionaries). It is computed once, so this is O(1) — the serving layer
+// polls it for /stats.
+func (s *Session) EstimatedBytes() int64 { return s.indexBytes }
 
 // Index returns the session's interned view of the log.
 func (s *Session) Index() *eventlog.Index { return s.x }
@@ -147,18 +127,28 @@ func (s *Session) MemoSize() int {
 // session artifacts. Results are byte-identical to RunContext on the same
 // inputs: the shared memos only ever return values a fresh run would have
 // computed. Per-solve accounting (ConstraintChecks, timings) starts from
-// zero on every call.
+// zero on every call. Result.Abstracted is a *Log the caller owns: the
+// abstracted log, or on an infeasible solve a copy of the input log
+// materialised from the index.
 func (s *Session) Solve(ctx context.Context, set *constraints.Set, cfg Config) (*Result, error) {
-	return s.solve(ctx, set, cfg, nil)
+	res, abstracted, err := s.SolveIndex(ctx, set, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if abstracted != nil {
+		res.Abstracted = abstracted.ReconstructLog()
+	}
+	return res, nil
 }
 
-// solve is Solve with an optional original log: one-shot callers
-// (RunContext) still hold the *Log the session was built from and pass it
-// through, so an infeasible run returns that exact pointer instead of
-// paying for a materialised copy the caller would discard.
-func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, origLog *eventlog.Log) (*Result, error) {
+// SolveIndex is Solve for holders that keep logs in their columnar form: it
+// builds no *Log, so Result.Abstracted stays nil. The abstracted log comes
+// back as an Index instead — the one Step 3 built when the solve is
+// feasible, the session's own when it is not (the paper's §V-C: infeasible
+// runs return the original log), and nil under GroupingOnly.
+func (s *Session) SolveIndex(ctx context.Context, set *constraints.Set, cfg Config) (*Result, *eventlog.Index, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	x, graph := s.x, s.graph
 	workers := par.Workers(cfg.Workers)
@@ -174,7 +164,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	if cfg.CustomCandidates != nil {
 		groups, err := cfg.CustomCandidates(x, graph)
 		if err != nil {
-			return nil, fmt.Errorf("core: custom candidates: %w", err)
+			return nil, nil, fmt.Errorf("core: custom candidates: %w", err)
 		}
 		cr = candidates.Result{Groups: groups}
 	} else {
@@ -190,18 +180,18 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 			}
 			cr = candidates.DFGBasedCtx(ctx, x, ev, dc, graph, k, cfg.Budget, workers)
 		default:
-			return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
+			return nil, nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: candidates: %w", err)
+		return nil, nil, fmt.Errorf("core: candidates: %w", err)
 	}
 	groups := cr.Groups
 	if !cfg.SkipExclusiveMerge && cfg.CustomCandidates == nil {
 		groups = candidates.ExclusiveMerge(x, ev, graph, groups)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: candidates: %w", err)
+		return nil, nil, fmt.Errorf("core: candidates: %w", err)
 	}
 	candTime := time.Since(t0)
 
@@ -215,7 +205,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 		costs[i] = dc.Group(groups[i])
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: costs: %w", err)
+		return nil, nil, fmt.Errorf("core: costs: %w", err)
 	}
 	minG, maxG := set.GroupBounds()
 	prob := &cover.Problem{
@@ -250,7 +240,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	}
 	res, err := solveOnce()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Verification pass: the paper's monotonic pruning admits supergroups
 	// of satisfying groups without re-validation, which is unsound when a
@@ -278,7 +268,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 			break
 		}
 		if res, err = solveOnce(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if res.Feasible && !clean {
@@ -302,7 +292,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 			}
 			prob.Forbidden = append(prob.Forbidden, append([]int(nil), res.Selected...))
 			if res, err = solveOnce(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if round == 63 {
 				res.Feasible = false // exhausted the cut budget
@@ -314,7 +304,7 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	// feasible; the caller asked us to stop, so surface the cancellation
 	// rather than a half-optimised grouping.
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: solve: %w", err)
+		return nil, nil, fmt.Errorf("core: solve: %w", err)
 	}
 
 	out := &Result{
@@ -326,21 +316,16 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 		Timings:            Timings{Candidates: candTime, Solve: solveTime},
 	}
 	if !res.Feasible {
+		var abstracted *eventlog.Index
 		if !cfg.GroupingOnly {
 			// The paper's offline prescription: infeasible runs return the
-			// original log — the caller's own when it still holds one,
-			// otherwise materialised once from the index (the session no
-			// longer retains the parsed log). Grouping-only callers consume
-			// no log at all, and skipping it keeps cached window results
-			// from pinning window memory.
-			if origLog != nil {
-				out.Abstracted = origLog
-			} else {
-				out.Abstracted = s.Log()
-			}
+			// original log, which is the session's own index. Grouping-only
+			// callers consume no log at all, and returning none keeps cached
+			// window results from pinning window memory.
+			abstracted = x
 		}
 		out.Diagnostics = ev.Diagnose()
-		return out, nil
+		return out, abstracted, nil
 	}
 
 	// Step 3: abstraction.
@@ -352,12 +337,12 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	sortByFirstOccurrence(x, selected)
 	names := a.names(cfg, x, selected)
 	grouping := abstraction.Grouping{Groups: selected, Names: names}
+	var abstracted *eventlog.Index
 	if !cfg.GroupingOnly {
-		abstracted, err := abstraction.Apply(x, grouping, cfg.Strategy, cfg.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("core: abstraction: %w", err)
+		var err error
+		if abstracted, err = abstraction.Apply(x, grouping, cfg.Strategy, cfg.Policy); err != nil {
+			return nil, nil, fmt.Errorf("core: abstraction: %w", err)
 		}
-		out.Abstracted = abstracted
 	}
 	out.Timings.Abstract = time.Since(t2)
 	out.Feasible = true
@@ -368,5 +353,5 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	for i, g := range selected {
 		out.GroupClasses[i] = x.GroupNames(g)
 	}
-	return out, nil
+	return out, abstracted, nil
 }

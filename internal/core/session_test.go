@@ -195,15 +195,16 @@ func TestSessionFromIndexMatchesNewSession(t *testing.T) {
 }
 
 // TestSessionInfeasibleMaterialisesLog: the session releases the parsed log,
-// so an infeasible solve returns the materialised equivalent — same traces,
-// classes, and event count — and repeated infeasible solves share the one
-// materialisation.
+// so an infeasible Solve returns a copy materialised from the index — same
+// traces, classes, and event count — that its caller owns. SolveIndex hands
+// back the session's own index instead, and neither grows the session.
 func TestSessionInfeasibleMaterialisesLog(t *testing.T) {
 	log := procgen.RunningExampleTable1()
 	sess, err := NewSession(log)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := sess.EstimatedBytes()
 	set := sessionSet(t, "|g| <= 1\n|G| <= 3")
 	res, err := sess.Solve(context.Background(), set, Config{Mode: Exhaustive})
 	if err != nil {
@@ -218,11 +219,14 @@ func TestSessionInfeasibleMaterialisesLog(t *testing.T) {
 	if res.Abstracted.NumEvents() != log.NumEvents() || len(res.Abstracted.Traces) != len(log.Traces) {
 		t.Fatal("materialised log shape differs from the original")
 	}
-	res2, err := sess.Solve(context.Background(), set, Config{Mode: Exhaustive})
+	res2, abstracted, err := sess.SolveIndex(context.Background(), set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Abstracted != res.Abstracted {
-		t.Fatal("repeated infeasible solves must share the memoised materialisation")
+	if res2.Feasible || res2.Abstracted != nil || abstracted != sess.Index() {
+		t.Fatal("an infeasible SolveIndex must return the session's own index and no *Log")
+	}
+	if after := sess.EstimatedBytes(); after != before {
+		t.Fatalf("infeasible solves grew the session from %d to %d bytes", before, after)
 	}
 }

@@ -209,6 +209,40 @@ func Write(w io.Writer, log *eventlog.Log) error {
 	return cw.Error()
 }
 
+// WriteIndex serialises an indexed log as CSV: the bytes Write writes for
+// x.ReconstructLog(), without building that *Log. The index's columns are
+// the union of its events' attribute names.
+func WriteIndex(w io.Writer, x *eventlog.Index) error {
+	cols := x.ColumnsByName()
+	cw := csv.NewWriter(w)
+	row := make([]string, 2+len(cols))
+	row[0], row[1] = "case", "activity"
+	for k, col := range cols {
+		row[2+k] = col.Name()
+	}
+	if err := cw.Write(row); err != nil {
+		return err
+	}
+	for t := 0; t < x.NumTraces(); t++ {
+		pos := x.TraceStart(t)
+		for _, c := range x.Seq(t) {
+			row[0], row[1] = x.TraceID(t), x.Classes[c]
+			for k, col := range cols {
+				row[2+k] = ""
+				if v, ok := col.Value(pos); ok {
+					row[2+k] = formatValue(v)
+				}
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
+			pos++
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 func formatValue(v eventlog.Value) string {
 	switch v.Kind {
 	case eventlog.KindTime:

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"gecco/internal/abstraction"
+	"gecco/internal/constraints"
+	"gecco/internal/core"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
 )
@@ -158,17 +161,37 @@ c2,c,2021-06-01T08:15:00Z,x,true`
 
 // FuzzReadCSV holds the index reader to the log reader on any input: both
 // fail with the same error, or the log the index reconstructs writes the
-// same CSV as Read's log. The seeds are the documents of the tests above,
-// interleaved cases, a quoted cell holding a newline, and rows with a
-// missing column.
+// same CSV as Read's log, and WriteIndex writes the index as Write writes
+// that log. The seeds are the documents of the tests above, interleaved
+// cases, a quoted cell holding a newline, rows with a missing column, and
+// the two shapes a served result takes beyond those: a start+complete
+// abstracted log, which carries the lifecycle column, and a log with trace-
+// and log-level attributes, which an infeasible result hands back (CSV
+// writes its events only).
 func FuzzReadCSV(f *testing.F) {
-	var running bytes.Buffer
-	if err := Write(&running, procgen.RunningExampleTable1()); err != nil {
+	set, err := constraints.ParseSet("distinct(role) <= 1")
+	if err != nil {
 		f.Fatal(err)
 	}
-	for _, doc := range []string{
+	res, err := core.Run(procgen.RunningExampleTable1(), set, core.Config{Strategy: abstraction.StartComplete})
+	if err != nil || !res.Feasible {
+		f.Fatalf("abstracting the running example: %v", err)
+	}
+	attributed := procgen.RunningExample(2, 2)
+	attributed.SetAttr("source", eventlog.String("erp"))
+	for i := range attributed.Traces {
+		attributed.Traces[i].SetAttr("amount", eventlog.Float(100.5*float64(i+1)))
+	}
+	var docs []string
+	for _, l := range []*eventlog.Log{procgen.RunningExampleTable1(), res.Abstracted, attributed} {
+		var b bytes.Buffer
+		if err := Write(&b, l); err != nil {
+			f.Fatal(err)
+		}
+		docs = append(docs, b.String())
+	}
+	for _, doc := range append(docs,
 		sampleCSV,
-		running.String(),
 		"id,act\n1,a\n1,b\n",
 		"x,y\n1,2\n",
 		"case,y\n1,2\n",
@@ -179,7 +202,7 @@ func FuzzReadCSV(f *testing.F) {
 		"case,activity,note\nc1,a,\"two\nlines\"\nc1,b,plain\n",
 		"case,activity,role,cost\nc1,a,clerk,3\nc1,b\nc2,a,manager\n",
 		"case,activity,role\nc1,a,clerk\nc1\nc2,b,clerk\n",
-	} {
+	) {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
@@ -200,6 +223,13 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if a.String() != b.String() {
 			t.Fatalf("reconstruction differs:\n%s\nvs\n%s", a.String(), b.String())
+		}
+		var c bytes.Buffer
+		if err := WriteIndex(&c, x); err != nil {
+			t.Fatal(err)
+		}
+		if c.String() != b.String() {
+			t.Fatalf("WriteIndex wrote\n%s\nWrite wrote\n%s", c.String(), b.String())
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package eventlog
 
 import (
+	"sort"
+
 	"gecco/internal/bitset"
 )
 
@@ -129,6 +131,15 @@ func (x *Index) Column(attr string) *Column {
 // not be modified.
 func (x *Index) Columns() []*Column { return x.cols }
 
+// ColumnsByName returns every event-attribute column in name order, the
+// order in which the *Log writers and LogDigest visit an event's attribute
+// keys. The slice is the caller's; the columns are shared with the index.
+func (x *Index) ColumnsByName() []*Column {
+	cols := append([]*Column(nil), x.cols...)
+	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
+	return cols
+}
+
 // TraceAttrs returns trace t's trace-level attributes, or nil when it has
 // none. The map is shared with the index and must not be modified.
 func (x *Index) TraceAttrs(t int) map[string]Value {
@@ -254,9 +265,9 @@ func (x *Index) ClassAttrValues(attr string) []map[string]struct{} {
 
 // ReconstructLog materialises a Log equivalent to the one the Index was
 // built from: same name, trace ids, event order, classes, and attribute
-// values at every level, so it serialises byte-identically. Used to honour
-// the paper's "infeasible runs return the original log" contract after the
-// original *Log has been released.
+// values at every level, so it serialises byte-identically. The library
+// entry points use it to hand their callers a *Log; holders that only
+// serialise an Index write it with xes.WriteIndex or csvlog.WriteIndex.
 func (x *Index) ReconstructLog() *Log {
 	log := &Log{Name: x.Name, Attrs: cloneAttrs(x.logAttrs)}
 	log.Traces = make([]Trace, x.NumTraces())

@@ -47,7 +47,7 @@ func PrintDetails(w io.Writer, details []Detail) {
 		default:
 			solved = "no"
 		}
-		fmt.Fprintf(w, "%-18s %-5s %-5s %8s %7.2f %7.2f %7.2f %8.2f\n",
+		fmt.Fprintf(w, "%-18s %-5s %-5s %8s %7.2f %7.2f %7.2f %8.3f\n",
 			d.Log, d.Set, d.Mode, solved, d.SRed, d.CRed, d.Sil, d.Seconds)
 	}
 }

@@ -168,11 +168,18 @@ func TestTable7BaselineShape(t *testing.T) {
 
 func TestPrintRowsIncludesPaperColumns(t *testing.T) {
 	var buf bytes.Buffer
-	rows := []Row{{Label: "A", Solved: 1, SRed: 0.5, CRed: 0.4, Sil: 0.1, Seconds: 2}}
+	rows := []Row{
+		{Label: "A", Solved: 1, SRed: 0.5, CRed: 0.4, Sil: 0.1, Seconds: 2},
+		{Label: "DFGk", Solved: 1, Seconds: 0.004},
+	}
 	PrintRows(&buf, "Table V", rows, PaperTable5)
 	out := buf.String()
 	if !strings.Contains(out, "Table V") || !strings.Contains(out, "146") {
 		t.Fatalf("output missing paper reference: %s", out)
+	}
+	// A millisecond solve must not print as 0.00 beside slower rows.
+	if !strings.Contains(out, " 0.004") {
+		t.Fatalf("a 4 ms row lost its runtime: %s", out)
 	}
 }
 

@@ -48,13 +48,14 @@ var PaperTable7 = map[string]PaperRow{
 // PrintRows renders measured rows next to the paper's values. The paper's
 // runtimes (minutes on full-size BPI logs) and ours (seconds on scaled-down
 // synthetics) are printed in their native units: relative ordering, not
-// magnitude, is the comparable signal.
+// magnitude, is the comparable signal. Ours get three decimals, so a
+// configuration that solves in milliseconds still orders against the rest.
 func PrintRows(w io.Writer, title string, rows []Row, paper map[string]PaperRow) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%-14s %8s %8s %8s %8s %9s   |  %s\n",
 		"Const./Conf.", "Solved", "S.red", "C.red", "Sil.", "T(s)", "paper: Solved S.red C.red Sil. T(m)")
 	for _, r := range rows {
-		line := fmt.Sprintf("%-14s %8.2f %8.2f %8.2f %8.2f %9.2f", r.Label, r.Solved, r.SRed, r.CRed, r.Sil, r.Seconds)
+		line := fmt.Sprintf("%-14s %8.2f %8.2f %8.2f %8.2f %9.3f", r.Label, r.Solved, r.SRed, r.CRed, r.Sil, r.Seconds)
 		if p, ok := paper[r.Label]; ok {
 			line += fmt.Sprintf("   |  %11.2f %5.2f %5.2f %5.2f %5.0f", p.Solved, p.SRed, p.CRed, p.Sil, p.Minutes)
 		}

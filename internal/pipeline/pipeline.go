@@ -43,7 +43,8 @@ const (
 	ArtifactLog Artifact = "log"
 	// ArtifactConstraints is a non-empty constraint set.
 	ArtifactConstraints Artifact = "constraints"
-	// ArtifactAbstraction is a core.Result from the solver.
+	// ArtifactAbstraction is a core.Result from the solver; the
+	// abstracted log it implies is the state's Abstracted index.
 	ArtifactAbstraction Artifact = "abstraction"
 	// ArtifactModel is a discovered process model.
 	ArtifactModel Artifact = "model"
@@ -78,7 +79,8 @@ type State struct {
 	// populated when constraints were user-supplied and the stage was a
 	// pass-through, in which case it is nil).
 	Suggestions []suggest.Suggestion
-	// Abstraction is the solver outcome.
+	// Abstraction is the solver outcome. Its Abstracted *Log is nil: the
+	// abstracted log is carried once, as the Abstracted index.
 	Abstraction *core.Result
 	// Abstracted is the indexed abstracted log when the solve was
 	// feasible; on an infeasible solve it aliases Index (the paper's §V-C
@@ -148,11 +150,13 @@ type StageCache interface {
 type Env struct {
 	// Abstract, when non-nil, solves the abstract stage: in's working log
 	// (in.Index, identified by in.IndexKey) under in.Constraints and cfg.
-	// Hosts back it with their result cache and session LRU, keyed as the
-	// one-shot solve endpoint keys them, so pipeline and non-pipeline runs
-	// of an unfiltered log share entries and warm distance memos. nil
-	// solves on a fresh session.
-	Abstract func(ctx context.Context, in *State, cfg core.Config) (*core.Result, error)
+	// It returns what core.Session.SolveIndex returns: the result, with no
+	// *Log in it, and the abstracted log as an Index. Hosts back it with
+	// their result cache and session LRU, keyed as the one-shot solve
+	// endpoint keys them, so pipeline and non-pipeline runs of an
+	// unfiltered log share entries and warm distance memos. nil solves on
+	// a fresh session.
+	Abstract func(ctx context.Context, in *State, cfg core.Config) (*core.Result, *eventlog.Index, error)
 	// Cache is the per-stage state cache; nil disables stage caching.
 	Cache StageCache
 }

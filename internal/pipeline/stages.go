@@ -154,7 +154,7 @@ func (s SuggestStage) Run(ctx context.Context, env *Env, in *State) (*State, err
 	return &next, nil
 }
 
-// AbstractStage wraps core.Session.Solve: the working log is abstracted
+// AbstractStage wraps core.Session.SolveIndex: the working log is abstracted
 // under the active constraints, through Env.Abstract when the host provides
 // one (the service's result cache, disk tier and session LRU). Time-budget
 // knobs are deliberately absent: every abstract stage is deterministic and
@@ -193,16 +193,17 @@ func (a AbstractStage) Run(ctx context.Context, env *Env, in *State) (*State, er
 	if solve == nil {
 		solve = solveFresh
 	}
-	res, err := solve(ctx, in, a.cfg())
+	res, abstracted, err := solve(ctx, in, a.cfg())
 	if err != nil {
 		return nil, err
 	}
 	next := *in
 	next.Abstraction = res
-	if res.Feasible && res.Abstracted != nil {
-		next.Abstracted = eventlog.NewIndex(res.Abstracted)
-	} else {
-		// Infeasible: the abstracted log is the input log (§V-C).
+	next.Abstracted = abstracted
+	if !res.Feasible {
+		// Infeasible: the abstracted log is the input log (§V-C). The
+		// state's own index is that log, and aliasing it keeps the state
+		// from pinning the solver session's copy beside it.
 		next.Abstracted = in.Index
 	}
 	return &next, nil
@@ -210,12 +211,12 @@ func (a AbstractStage) Run(ctx context.Context, env *Env, in *State) (*State, er
 
 // solveFresh is the abstract stage's solve without a host: a fresh session
 // on the working log.
-func solveFresh(ctx context.Context, in *State, cfg core.Config) (*core.Result, error) {
+func solveFresh(ctx context.Context, in *State, cfg core.Config) (*core.Result, *eventlog.Index, error) {
 	sess, err := core.NewSessionFromIndex(in.Index)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return sess.Solve(ctx, in.Constraints, cfg)
+	return sess.SolveIndex(ctx, in.Constraints, cfg)
 }
 
 // DiscoverStage mines a process model from the abstracted log (or the

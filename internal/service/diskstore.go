@@ -180,7 +180,7 @@ func (d *diskStore) saveResult(key string, res *JobResult) {
 	}
 	if res.Abstracted != nil {
 		var b strings.Builder
-		if err := xes.Write(&b, res.Abstracted); err != nil {
+		if err := xes.WriteIndex(&b, res.Abstracted); err != nil {
 			d.spillErrors.Add(1)
 			return
 		}
@@ -238,11 +238,11 @@ func loadResult(data []byte) (*JobResult, error) {
 	}
 	res.Grouping.Names = env.Names
 	if env.AbstractedXES != "" {
-		log, err := xes.Read(strings.NewReader(env.AbstractedXES))
+		x, err := xes.ReadIndexBytes([]byte(env.AbstractedXES))
 		if err != nil {
 			return nil, err
 		}
-		res.Abstracted = log
+		res.Abstracted = x
 	}
 	return res, nil
 }

@@ -10,22 +10,43 @@ import (
 	"testing"
 	"time"
 
+	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
 	"gecco/internal/xes"
 )
 
-func xesBytes(t *testing.T, log *eventlog.Log) []byte {
+func xesBytes(t *testing.T, x *eventlog.Index) []byte {
 	t.Helper()
-	if log == nil {
+	if x == nil {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := xes.Write(&buf, log); err != nil {
+	if err := xes.WriteIndex(&buf, x); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// solveJob solves set on sess the way the service's jobs do.
+func solveJob(t *testing.T, sess *core.Session, set *constraints.Set, cfg core.Config) *JobResult {
+	t.Helper()
+	res, abstracted, err := sess.SolveIndex(context.Background(), set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newJobResult(res, abstracted)
+}
+
+// solveLog is solveJob on a fresh session of log.
+func solveLog(t *testing.T, log *eventlog.Log, set *constraints.Set, cfg core.Config) *JobResult {
+	t.Helper()
+	sess, err := core.NewSession(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solveJob(t, sess, set, cfg)
 }
 
 // sameResult compares every field of a result the HTTP layer serialises.
@@ -82,14 +103,8 @@ func TestSolveIdenticalAfterOpenIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := built.Solve(context.Background(), set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := opened.Solve(context.Background(), mustSet(t, "distinct(role) <= 1\n|g| <= 3"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := solveJob(t, built, set, cfg)
+	got := solveJob(t, opened, mustSet(t, "distinct(role) <= 1\n|g| <= 3"), cfg)
 	got.Timings, want.Timings = core.Timings{}, core.Timings{}
 	sameResult(t, got, want)
 }
@@ -102,10 +117,7 @@ func TestStoredResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(procgen.RunningExampleTable1(), mustSet(t, "distinct(role) <= 1"), core.Config{Mode: core.DFGUnbounded})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveLog(t, procgen.RunningExampleTable1(), mustSet(t, "distinct(role) <= 1"), core.Config{Mode: core.DFGUnbounded})
 	if !res.Feasible {
 		t.Fatal("fixture must be feasible")
 	}
@@ -180,10 +192,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if st.Disk.WarmOpens != 1 {
 		t.Fatalf("warm opens = %d, want 1", st.Disk.WarmOpens)
 	}
-	cold, err := core.Run(log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := solveLog(t, log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), cfg)
 	// Compare copies: the async persister may still be reading res2.
 	sameResult(t, &JobResult{
 		Feasible: res2.Feasible, Grouping: res2.Grouping, GroupClasses: res2.GroupClasses,

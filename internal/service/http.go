@@ -541,13 +541,13 @@ func buildResponse(res *JobResult, format string, omitAbstracted bool) (*Abstrac
 }
 
 // writeLog serialises an abstracted log in an upload's wire format.
-func writeLog(format string, log *eventlog.Log) (string, error) {
+func writeLog(format string, x *eventlog.Index) (string, error) {
 	var b strings.Builder
 	var err error
 	if format == "csv" {
-		err = csvlog.Write(&b, log)
+		err = csvlog.WriteIndex(&b, x)
 	} else {
-		err = xes.Write(&b, log)
+		err = xes.WriteIndex(&b, x)
 	}
 	if err != nil {
 		return "", fmt.Errorf("serialising abstracted log: %w", err)

@@ -75,8 +75,7 @@ func LogDigest(log *eventlog.Log) string {
 //
 //lint:gecco-allow(ctxflow): pure CPU hash over an index built from a body already capped at maxBodyBytes (64 MiB); nothing to cancel
 func IndexDigest(x *eventlog.Index) string {
-	cols := append([]*eventlog.Column(nil), x.Columns()...)
-	sort.Slice(cols, func(i, j int) bool { return cols[i].Name() < cols[j].Name() })
+	cols := x.ColumnsByName()
 	d := newDigester()
 	d.putInt(x.NumTraces())
 	for t := 0; t < x.NumTraces(); t++ {

@@ -102,17 +102,19 @@ func (s *Service) runPipeline(ctx context.Context, stages []pipeline.Stage, base
 // from the result cache and its disk tier when its working log, constraints
 // and config were solved before, and otherwise solves as a job does, on
 // the session LRU's session for the working log's key.
-func (s *Service) solveStage(ctx context.Context, in *pipeline.State, cfg core.Config) (*core.Result, error) {
+func (s *Service) solveStage(ctx context.Context, in *pipeline.State, cfg core.Config) (*core.Result, *eventlog.Index, error) {
 	req := Request{Index: in.Index, Constraints: in.Constraints, Config: cfg, digest: in.IndexKey}
 	key, res, ok := s.lookup(&req)
-	if ok {
-		return res, nil
+	if !ok {
+		var err error
+		if res, err = s.solve(ctx, req, true); err != nil {
+			return nil, nil, err
+		}
+		if key != "" {
+			s.publish(key, res)
+		}
 	}
-	res, err := s.solve(ctx, req, true)
-	if err == nil && key != "" {
-		s.publish(key, res)
-	}
-	return res, err
+	return res.coreResult(), res.Abstracted, nil
 }
 
 // StageCounters is one stage kind's cache accounting.

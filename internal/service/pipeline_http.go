@@ -188,9 +188,9 @@ func buildPipelineResponse(out *pipeline.Result, format string, includeAbstracte
 			abs.Diagnostics = res.Diagnostics.String()
 		}
 		resp.Abstraction = abs
-		if includeAbstracted && res.Feasible && res.Abstracted != nil {
+		if includeAbstracted && res.Feasible && state.Abstracted != nil {
 			var err error
-			if resp.Abstracted, err = writeLog(format, res.Abstracted); err != nil {
+			if resp.Abstracted, err = writeLog(format, state.Abstracted); err != nil {
 				return nil, err
 			}
 		}

@@ -19,7 +19,7 @@
 // derived from the service's base context, a synchronous caller that goes
 // away (client disconnect, timeout) cancels the job when it was its last
 // waiter, and shutting the service down cancels everything mid-frontier
-// via Session.Solve, which carries the job's context.
+// via Session.SolveIndex, which carries the job's context.
 package service
 
 import (
@@ -33,14 +33,74 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gecco/internal/abstraction"
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
 )
 
-// JobResult is the pipeline outcome stored in the cache and on finished
-// jobs; it is the core pipeline result as-is.
-type JobResult = core.Result
+// JobResult is the solve outcome the result cache and finished jobs hold,
+// and that a /pipeline abstract stage or a stream regroup reads: the
+// fields of core.Result the serving layer uses, with the abstracted log in
+// the columnar form Step 3 built it in. It has no *eventlog.Log field: a
+// cached *Log is a pointer-dense copy the garbage collector scans on every
+// cycle, for a log every response serialises straight from the Index.
+type JobResult struct {
+	Feasible bool
+	// Grouping holds the selected groups and their activity names; a
+	// result loaded from the warm tier carries the names only.
+	Grouping     abstraction.Grouping
+	GroupClasses [][]string
+	Distance     float64
+	// Abstracted is the abstracted log when the solve is feasible, and the
+	// input log when it is not (§V-C): then it is the index of the session
+	// the solve ran on, shared rather than copied. It is nil for a
+	// grouping-only stream regroup.
+	Abstracted *eventlog.Index
+	// Diagnostics explains infeasibility (nil when feasible).
+	Diagnostics *constraints.Violations
+
+	NumCandidates      int
+	CandidatesTimedOut bool
+	ConstraintChecks   int
+	SolverNodes        int
+	Timings            core.Timings
+}
+
+// newJobResult keeps what the serving layer uses of a SolveIndex outcome.
+func newJobResult(res *core.Result, abstracted *eventlog.Index) *JobResult {
+	return &JobResult{
+		Feasible:           res.Feasible,
+		Grouping:           res.Grouping,
+		GroupClasses:       res.GroupClasses,
+		Distance:           res.Distance,
+		Abstracted:         abstracted,
+		Diagnostics:        res.Diagnostics,
+		NumCandidates:      res.NumCandidates,
+		CandidatesTimedOut: res.CandidatesTimedOut,
+		ConstraintChecks:   res.ConstraintChecks,
+		SolverNodes:        res.SolverNodes,
+		Timings:            res.Timings,
+	}
+}
+
+// coreResult is the result as the pipeline engine and the online
+// abstractor take it: a core.Result without a *Log. The abstracted log
+// travels beside it as r.Abstracted.
+func (r *JobResult) coreResult() *core.Result {
+	return &core.Result{
+		Feasible:           r.Feasible,
+		Grouping:           r.Grouping,
+		GroupClasses:       r.GroupClasses,
+		Distance:           r.Distance,
+		Diagnostics:        r.Diagnostics,
+		NumCandidates:      r.NumCandidates,
+		CandidatesTimedOut: r.CandidatesTimedOut,
+		ConstraintChecks:   r.ConstraintChecks,
+		SolverNodes:        r.SolverNodes,
+		Timings:            r.Timings,
+	}
+}
 
 // Options tunes the service; zero values pick serving-friendly defaults.
 // A negative capacity turns its feature off.
@@ -115,9 +175,10 @@ const (
 	// lookups; the oldest finished jobs are dropped first.
 	maxRetainedJobs = 1024
 	// maxRetainedResults bounds how many of those finished jobs keep their
-	// full result (which includes the abstracted log — potentially tens of
-	// MiB each). Older finished jobs keep their metadata but drop the
-	// result; cacheable ones remain servable from the LRU by re-POSTing.
+	// full result, which includes the abstracted log's index: tens of KiB
+	// for a few hundred traces, but it grows with the log. Older finished
+	// jobs keep their metadata but drop the result; cacheable ones remain
+	// servable from the LRU by re-POSTing.
 	maxRetainedResults = 64
 	// sessionMemoLimit retires a live session once its distance memo holds
 	// more than this many entries (about 262k, tens of MB on typical class
@@ -749,11 +810,14 @@ func (s *Service) solve(ctx context.Context, req Request, admit bool) (*JobResul
 	if err != nil {
 		return nil, err
 	}
-	res, err := sess.Solve(ctx, req.Constraints, cfg)
+	res, abstracted, err := sess.SolveIndex(ctx, req.Constraints, cfg)
 	if s.sessions != nil && sess.MemoSize() > s.sessionMemoLimit {
 		s.sessions.drop(req.logDigest(), sess)
 	}
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return newJobResult(res, abstracted), nil
 }
 
 // session returns the session a solve of req runs on: the live one for its

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"net/http"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
+	"gecco/internal/xes"
 )
 
 func mustSet(t *testing.T, text string) *constraints.Set {
@@ -73,6 +76,56 @@ func TestSessionReuseAcrossConstraintSets(t *testing.T) {
 		t.Fatalf("warm session result diverged: dist %v vs %v, candidates %d vs %d, checks %d vs %d",
 			res2.Distance, cold.Distance, res2.NumCandidates, cold.NumCandidates,
 			res2.ConstraintChecks, cold.ConstraintChecks)
+	}
+}
+
+// TestInfeasibleSolveDoesNotGrowSession: an infeasible /abstract answers
+// with the input log (§V-C), and that log is the live session's own index.
+// The session's /stats footprint stays what its index costs, and the
+// cached result shares the index instead of holding a copy of the log.
+func TestInfeasibleSolveDoesNotGrowSession(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	logXES := runningExampleXES(t)
+	sessions := func() SessionStats {
+		var st Stats
+		getJSON(t, srv.URL+"/stats", &st)
+		return st.Sessions
+	}
+	if resp, out := postAbstract(t, srv, logXES, url.Values{"constraints": {"distinct(role) <= 1"}, "mode": {"exh"}}); resp.StatusCode != http.StatusOK || !out.Feasible {
+		t.Fatalf("feasible solve: status %d, %+v", resp.StatusCode, out)
+	}
+	before := sessions()
+	const infeasible = "|g| <= 1\n|G| <= 3"
+	resp, out := postAbstract(t, srv, logXES, url.Values{"constraints": {infeasible}, "mode": {"exh"}})
+	if resp.StatusCode != http.StatusOK || out.Feasible {
+		t.Fatalf("infeasible solve: status %d, %+v", resp.StatusCode, out)
+	}
+	if out.Abstracted != logXES {
+		t.Fatal("an infeasible solve must answer with the uploaded log")
+	}
+	after := sessions()
+	if after.Entries != 1 || after.Hits != before.Hits+1 {
+		t.Fatalf("sessions %+v then %+v, want the infeasible solve on the live session", before, after)
+	}
+	if after.IndexBytes != before.IndexBytes {
+		t.Fatalf("sessions.indexBytes %d grew to %d on an infeasible solve", before.IndexBytes, after.IndexBytes)
+	}
+
+	x, err := xes.ReadIndexBytes([]byte(logXES))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := IndexDigest(x)
+	sess, ok := svc.sessions.peek(digest)
+	if !ok {
+		t.Fatal("no live session for the log")
+	}
+	res, ok := svc.cache.getQuiet(requestKey(digest, mustSet(t, infeasible), core.Config{Mode: core.Exhaustive}))
+	if !ok {
+		t.Fatal("the infeasible result is not cached")
+	}
+	if res.Abstracted != sess.Index() {
+		t.Fatal("the cached infeasible result must hold the session's own index")
 	}
 }
 

@@ -233,16 +233,18 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 	req := Request{Index: eventlog.NewIndex(window), Constraints: set, Config: cfg}
 	key, res, ok := s.lookup(&req)
 	if ok {
-		return res, nil
+		return res.coreResult(), nil
 	}
 	release, err := s.acquire(ctx, false)
 	if err != nil {
 		return nil, fmt.Errorf("service: stream regroup: %w", err)
 	}
 	defer release()
-	res, err = s.solve(ctx, req, false)
-	if err == nil && key != "" {
+	if res, err = s.solve(ctx, req, false); err != nil {
+		return nil, err
+	}
+	if key != "" {
 		s.cache.Put(key, res)
 	}
-	return res, err
+	return res.coreResult(), nil
 }

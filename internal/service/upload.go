@@ -17,8 +17,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 	"unicode/utf16"
@@ -68,13 +70,15 @@ func (s stallReader) Read(p []byte) (int, error) {
 // announces a long body and then stalls holds no more than about twice
 // what it sent. Growth stops one byte past the declared length, so a body
 // of that length ends in a buffer one byte longer than itself, the byte
-// that lets it read its EOF without growing again.
+// that lets it read its EOF without growing again. Each buffer it outgrows
+// goes back to a pool for the next body, so a body leaves the garbage
+// collector the one buffer it is returned in, not the whole doubling chain.
 func readCapped(rd io.Reader, declared, limit int64) ([]byte, error) {
 	end := limit + 1
 	if declared >= 0 && declared < limit {
 		end = declared + 1
 	}
-	buf := make([]byte, 0, min(end, bytes.MinRead))
+	buf := bodyBuf(min(end, bytes.MinRead))
 	lr := io.LimitReader(rd, limit+1)
 	for {
 		if len(buf) == cap(buf) {
@@ -82,20 +86,58 @@ func readCapped(rd io.Reader, declared, limit int64) ([]byte, error) {
 			if int64(cap(buf)) < end {
 				size = min(size, end)
 			}
-			buf = append(make([]byte, 0, size), buf...)
+			next := append(bodyBuf(size), buf...)
+			recycleBodyBuf(buf)
+			buf = next
 		}
 		n, err := lr.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if int64(len(buf)) > limit {
+			recycleBodyBuf(buf)
 			return nil, fmt.Errorf("body exceeds %d bytes", limit)
 		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
+			recycleBodyBuf(buf)
 			return nil, fmt.Errorf("reading body: %w", err)
 		}
 	}
+}
+
+// bodyBufs pools the buffers of readCapped's doubling chain by size: pool k
+// holds buffers of bytes.MinRead<<k bytes, from 512 B to the 64 MiB body
+// cap.
+var bodyBufs [18]sync.Pool
+
+// bodyBuf returns an empty buffer of capacity size, from its pool when
+// size is a size of the doubling chain.
+func bodyBuf(size int64) []byte {
+	if k := bodyBufClass(size); k >= 0 {
+		if b, ok := bodyBufs[k].Get().(*[]byte); ok {
+			return (*b)[:0]
+		}
+	}
+	return make([]byte, 0, size)
+}
+
+// recycleBodyBuf returns a buffer no one references any more to its pool.
+func recycleBodyBuf(b []byte) {
+	if k := bodyBufClass(int64(cap(b))); k >= 0 {
+		bodyBufs[k].Put(&b)
+	}
+}
+
+// bodyBufClass returns k when size is bytes.MinRead<<k, else -1.
+func bodyBufClass(size int64) int {
+	if size < bytes.MinRead || size&(size-1) != 0 {
+		return -1
+	}
+	if k := bits.Len64(uint64(size/bytes.MinRead)) - 1; k < len(bodyBufs) {
+		return k
+	}
+	return -1
 }
 
 // isEnvelope reports whether a request's body is a JSON envelope rather

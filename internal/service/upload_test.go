@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -346,6 +347,61 @@ func TestReadCappedSizing(t *testing.T) {
 	}
 	if _, err := readCapped(bytes.NewReader(body), -1, int64(len(body))-1); err == nil {
 		t.Fatal("a body over the limit was accepted")
+	}
+}
+
+// TestReadCappedConcurrent reads distinct bodies from several goroutines at
+// once and checks every body only after all reads are done: the buffers a
+// read outgrows serve later reads, and no read may see another's bytes or
+// lose its own afterwards.
+func TestReadCappedConcurrent(t *testing.T) {
+	const readers, reads = 8, 20
+	bodies := make([][]byte, readers*reads)
+	got := make([][]byte, len(bodies))
+	for i := range bodies {
+		bodies[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 700*(i%readers+1)+37*i)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; i < len(bodies); i += readers {
+				declared := int64(len(bodies[i]))
+				if i%2 == 1 {
+					declared = -1
+				}
+				b, err := readCapped(bytes.NewReader(bodies[i]), declared, maxBodyBytes)
+				if err != nil {
+					t.Errorf("body %d: %v", i, err)
+					return
+				}
+				got[i] = b
+			}
+		}(r)
+	}
+	wg.Wait()
+	for i := range bodies {
+		if !bytes.Equal(got[i], bodies[i]) {
+			t.Fatalf("body %d: read %d bytes that differ from the %d sent", i, len(got[i]), len(bodies[i]))
+		}
+	}
+}
+
+// BenchmarkReadCapped reads a 200-trace loan log's envelope body of a
+// declared length, as readBody does; its B/op is what one body read leaves
+// the garbage collector.
+func BenchmarkReadCapped(b *testing.B) {
+	body, err := json.Marshal(AbstractRequest{Log: xesText(b, procgen.LoanLog(200, 1)), Constraints: "distinct(role) <= 3"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := readCapped(bytes.NewReader(body), int64(len(body)), maxBodyBytes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

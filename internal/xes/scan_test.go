@@ -10,7 +10,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"gecco/internal/abstraction"
+	"gecco/internal/constraints"
+	"gecco/internal/core"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
 	"gecco/internal/service"
@@ -90,8 +94,9 @@ func TestScannerMatchesOracle(t *testing.T) {
 }
 
 // FuzzReadXES holds the scanner to the oracle on any input: both fail, or
-// both read the same log with the same digest. The seed corpus is
-// testdata/fuzz/FuzzReadXES (see TestFuzzSeeds).
+// both read the same log with the same digest, and the index writes back
+// as the log does. The seed corpus is testdata/fuzz/FuzzReadXES (see
+// TestFuzzSeeds).
 func FuzzReadXES(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readBoth(t, data)
@@ -99,8 +104,9 @@ func FuzzReadXES(f *testing.F) {
 }
 
 // readBoth reads data with the scanner and with the oracle, and fails the
-// test unless both fail or both succeed with equal logs and equal digests.
-// It returns the scanner's log or error.
+// test unless both fail or both succeed with equal logs and equal digests,
+// and WriteIndex writes the scanner's index as Write writes the oracle's
+// log. It returns the scanner's log or error.
 func readBoth(t *testing.T, data []byte) (*eventlog.Log, error) {
 	t.Helper()
 	want, oerr := xes.ReadOracle(bytes.NewReader(data))
@@ -117,6 +123,16 @@ func readBoth(t *testing.T, data []byte) (*eventlog.Log, error) {
 	}
 	if g, w := service.IndexDigest(x), service.LogDigest(want); g != w {
 		t.Fatalf("scanner index digest %s, oracle log digest %s", g, w)
+	}
+	var fromIndex, fromLog bytes.Buffer
+	if err := xes.WriteIndex(&fromIndex, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := xes.Write(&fromLog, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromIndex.Bytes(), fromLog.Bytes()) {
+		t.Fatalf("WriteIndex wrote\n%s\nWrite wrote\n%s", fromIndex.Bytes(), fromLog.Bytes())
 	}
 	return got, nil
 }
@@ -211,15 +227,18 @@ func sortedKeys(m map[string]eventlog.Value) []string {
 var updateSeeds = flag.Bool("update-seeds", false, "rewrite the FuzzReadXES seed corpus in testdata")
 
 // TestFuzzSeeds keeps testdata/fuzz/FuzzReadXES equal to the seeds it is
-// made of: every scan case and small logs of the procgen models. Run it
-// with -update-seeds to rewrite the corpus.
+// made of: every scan case, small logs of the procgen models, and the two
+// shapes a served result takes beyond those: a start+complete abstracted
+// log, which carries the lifecycle attribute, and a log with trace- and
+// log-level attributes, which an infeasible result hands back. Run it with
+// -update-seeds to rewrite the corpus.
 func TestFuzzSeeds(t *testing.T) {
 	type seed struct{ name, doc string }
 	var seeds []seed
 	for _, tc := range scanCases {
 		seeds = append(seeds, seed{"case-" + seedName(tc.name), tc.doc})
 	}
-	for _, l := range []*eventlog.Log{procgen.RunningExampleTable1(), procgen.RunningExample(3, 1), procgen.LoanLog(2, 1)} {
+	for _, l := range []*eventlog.Log{procgen.RunningExampleTable1(), procgen.RunningExample(3, 1), procgen.LoanLog(2, 1), startCompleteLog(t), attributedLog()} {
 		var b strings.Builder
 		if err := xes.Write(&b, l); err != nil {
 			t.Fatal(err)
@@ -243,6 +262,35 @@ func TestFuzzSeeds(t *testing.T) {
 			t.Errorf("seed %s is missing or stale; rewrite the corpus with go test ./internal/xes -run TestFuzzSeeds -update-seeds", path)
 		}
 	}
+}
+
+// startCompleteLog is the running example abstracted under start+complete.
+func startCompleteLog(t *testing.T) *eventlog.Log {
+	t.Helper()
+	set, err := constraints.ParseSet("distinct(role) <= 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(procgen.RunningExampleTable1(), set, core.Config{Strategy: abstraction.StartComplete})
+	if err != nil || !res.Feasible {
+		t.Fatalf("abstracting the running example: feasible=%v, %v", err == nil && res.Feasible, err)
+	}
+	return res.Abstracted
+}
+
+// attributedLog is a small running-example log with log- and trace-level
+// attributes of every kind.
+func attributedLog() *eventlog.Log {
+	l := procgen.RunningExample(2, 2)
+	l.Name = "trace and log attributes"
+	l.SetAttr("source", eventlog.String("erp <7>"))
+	l.SetAttr("version", eventlog.Int(7))
+	for i := range l.Traces {
+		l.Traces[i].SetAttr("amount", eventlog.Float(100.5*float64(i+1)))
+		l.Traces[i].SetAttr("priority", eventlog.Bool(i == 0))
+		l.Traces[i].SetAttr("opened", eventlog.Time(time.Date(2022, 3, 1, 8, i, 0, 0, time.FixedZone("", 7200))))
+	}
+	return l
 }
 
 // seedName turns a description into a file name.

@@ -32,7 +32,10 @@
 //     declaration may only name version 1.0 and UTF-8.
 //
 // Write emits a minimal header and one element per attribute, with keys and
-// values escaped for XML attribute values.
+// values escaped for XML attribute values. WriteIndex writes the same bytes
+// from an eventlog.Index, so a log held in its columnar form is never
+// rebuilt as a *Log to be served; Write stays for *Log callers and as
+// WriteIndex's test oracle.
 package xes
 
 import (
@@ -130,9 +133,7 @@ const writeChunk = 32 << 10
 
 // Write serialises the log as an XES document.
 func Write(w io.Writer, log *eventlog.Log) error {
-	x := &writer{w: w, buf: make([]byte, 0, writeChunk+4<<10)}
-	x.buf = append(x.buf, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<log xes.version=\"1.0\" xes.features=\"\">\n"...)
-	x.attrs("  ", log.Name, log.Attrs)
+	x := newWriter(w, log.Name, log.Attrs)
 	for i := range log.Traces {
 		tr := &log.Traces[i]
 		x.buf = append(x.buf, "  <trace>\n"...)
@@ -141,16 +142,38 @@ func Write(w io.Writer, log *eventlog.Log) error {
 			ev := &tr.Events[j]
 			x.buf = append(x.buf, "    <event>\n"...)
 			x.attrs("      ", ev.Class, ev.Attrs)
-			x.buf = append(x.buf, "    </event>\n"...)
-			if len(x.buf) >= writeChunk {
-				x.flush()
-			}
+			x.endEvent()
 		}
 		x.buf = append(x.buf, "  </trace>\n"...)
 	}
-	x.buf = append(x.buf, "</log>\n"...)
-	x.flush()
-	return x.err
+	return x.end()
+}
+
+// WriteIndex serialises an indexed log as an XES document: the bytes Write
+// writes for x.ReconstructLog(), without building that *Log. Each event's
+// attributes are read from the index's columns in name order, the order in
+// which Write sorts an event's attribute keys.
+func WriteIndex(w io.Writer, x *eventlog.Index) error {
+	cols := x.ColumnsByName()
+	xw := newWriter(w, x.Name, x.LogAttrs())
+	for t := 0; t < x.NumTraces(); t++ {
+		xw.buf = append(xw.buf, "  <trace>\n"...)
+		xw.attrs("    ", x.TraceID(t), x.TraceAttrs(t))
+		pos := x.TraceStart(t)
+		for _, c := range x.Seq(t) {
+			xw.buf = append(xw.buf, "    <event>\n"...)
+			xw.attr("      ", conceptName, eventlog.String(x.Classes[c]))
+			for _, col := range cols {
+				if v, ok := col.Value(pos); ok {
+					xw.attr("      ", col.Name(), v)
+				}
+			}
+			xw.endEvent()
+			pos++
+		}
+		xw.buf = append(xw.buf, "  </trace>\n"...)
+	}
+	return xw.end()
 }
 
 // writer appends the document to buf and hands it to w in chunks; the
@@ -160,6 +183,31 @@ type writer struct {
 	buf  []byte
 	keys []string
 	err  error
+}
+
+// newWriter starts a document: the header, then the log's name and
+// attributes.
+func newWriter(w io.Writer, name string, attrs map[string]eventlog.Value) *writer {
+	x := &writer{w: w, buf: make([]byte, 0, writeChunk+4<<10)}
+	x.buf = append(x.buf, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<log xes.version=\"1.0\" xes.features=\"\">\n"...)
+	x.attrs("  ", name, attrs)
+	return x
+}
+
+// endEvent closes an event element, passing the buffer on once it holds a
+// chunk.
+func (x *writer) endEvent() {
+	x.buf = append(x.buf, "    </event>\n"...)
+	if len(x.buf) >= writeChunk {
+		x.flush()
+	}
+}
+
+// end closes the document and reports the first write error.
+func (x *writer) end() error {
+	x.buf = append(x.buf, "</log>\n"...)
+	x.flush()
+	return x.err
 }
 
 func (x *writer) flush() {

@@ -342,13 +342,22 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
-// BenchmarkWrite writes a 50-trace loan log with Write and with the
-// fmt-based writer it replaced.
+// BenchmarkWrite writes a 50-trace loan log with Write, with WriteIndex
+// from the log's Index (how the serving layer writes every response), and
+// with the fmt-based writer Write replaced.
 func BenchmarkWrite(b *testing.B) {
 	log := procgen.LoanLog(50, 1)
+	x := eventlog.NewIndex(log)
 	b.Run("Write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := Write(io.Discard, log); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("WriteIndex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := WriteIndex(io.Discard, x); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -307,14 +307,14 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := baselines.BLQ(ctx, sess, set, core.Config{}); err != nil {
+			if _, _, err := baselines.BLQ(ctx, sess, set, core.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("BLP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baselines.BLP(ctx, x, 4, instances.SplitOnRepeat); err != nil {
+			if _, _, err := baselines.BLP(ctx, x, 4, instances.SplitOnRepeat); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -322,7 +322,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.Run("BLG", func(b *testing.B) {
 		set := constraints.NewSet(constraints.MustParse("distinct(role) <= 1"))
 		for i := 0; i < b.N; i++ {
-			if _, err := baselines.BLG(ctx, x, set, instances.SplitOnRepeat); err != nil {
+			if _, _, err := baselines.BLG(ctx, x, set, instances.SplitOnRepeat); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -34,12 +34,14 @@ import (
 // retrieves candidate paths, and GECCO's Steps 2–3 select and apply the
 // grouping. Instance-based and grouping constraints beyond bounds are not
 // expressible — the baseline's documented limitation. The caller's session
-// supplies the frozen index and graph, so no *eventlog.Log is materialised.
-func BLQ(ctx context.Context, sess *core.Session, set *constraints.Set, cfg core.Config) (*core.Result, error) {
+// supplies the frozen index and graph, and the abstracted log comes back as
+// an Index beside the Result, as from core.Session.SolveIndex, so no
+// *eventlog.Log is materialised.
+func BLQ(ctx context.Context, sess *core.Session, set *constraints.Set, cfg core.Config) (*core.Result, *eventlog.Index, error) {
 	cfg.CustomCandidates = func(x *eventlog.Index, graph *dfg.Graph) ([]bitset.Set, error) {
 		return queryCandidates(x, graph, set)
 	}
-	return sess.Solve(ctx, set, cfg)
+	return sess.SolveIndex(ctx, set, cfg)
 }
 
 // queryCandidates builds and runs the graph query for the constraint set.
@@ -148,13 +150,14 @@ func buildQuery(set *constraints.Set) (string, error) {
 // BLP runs the spectral-partitioning baseline: the DFG's symmetrised,
 // normalised adjacency is clustered into numGroups groups via normalised
 // spectral clustering. Only the group count is controllable; all other
-// constraint categories are unsupported.
-func BLP(ctx context.Context, x *eventlog.Index, numGroups int, policy instances.Policy) (*core.Result, error) {
+// constraint categories are unsupported. The abstracted log comes back as
+// an Index beside the Result.
+func BLP(ctx context.Context, x *eventlog.Index, numGroups int, policy instances.Policy) (*core.Result, *eventlog.Index, error) {
 	if numGroups < 1 {
-		return nil, fmt.Errorf("baselines: BLP needs numGroups >= 1")
+		return nil, nil, fmt.Errorf("baselines: BLP needs numGroups >= 1")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
+		return nil, nil, fmt.Errorf("baselines: %w", err)
 	}
 	t0 := time.Now()
 	n := x.NumClasses()
@@ -202,7 +205,7 @@ func BLP(ctx context.Context, x *eventlog.Index, numGroups int, policy instances
 	}
 	eig, err := linalg.EigenSym(lap)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: BLP eigen: %w", err)
+		return nil, nil, fmt.Errorf("baselines: BLP eigen: %w", err)
 	}
 	// Embed into the numGroups smallest eigenvectors, row-normalise, and
 	// k-means.
@@ -241,8 +244,9 @@ func BLP(ctx context.Context, x *eventlog.Index, numGroups int, policy instances
 // BLG runs the greedy baseline: all classes start as singletons; in each
 // iteration the constraint-respecting merge with the lowest resulting total
 // distance is applied; the procedure stops when no merge improves the total
-// distance. Grouping constraints cannot be enforced.
-func BLG(ctx context.Context, x *eventlog.Index, set *constraints.Set, policy instances.Policy) (*core.Result, error) {
+// distance. Grouping constraints cannot be enforced. The abstracted log
+// comes back as an Index beside the Result.
+func BLG(ctx context.Context, x *eventlog.Index, set *constraints.Set, policy instances.Policy) (*core.Result, *eventlog.Index, error) {
 	t0 := time.Now()
 	ev := constraints.NewEvaluator(x, set, policy)
 	dc := distance.NewCalc(x, policy)
@@ -262,16 +266,12 @@ func BLG(ctx context.Context, x *eventlog.Index, set *constraints.Set, policy in
 		// Some singleton already violates R: greedy has no repair step, so
 		// the problem is unsolvable for BL_G (mirroring its lower solve
 		// rate in Table VII). The infeasibility contract hands back the
-		// input log unchanged (§V-C), reconstructed from the index on this
-		// cold path only.
-		return &core.Result{
-			Abstracted:  x.ReconstructLog(),
-			Diagnostics: ev.Diagnose(),
-		}, nil
+		// input log unchanged (§V-C): its own index.
+		return &core.Result{Diagnostics: ev.Diagnose()}, x, nil
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("baselines: %w", err)
+			return nil, nil, fmt.Errorf("baselines: %w", err)
 		}
 		bestI, bestJ := -1, -1
 		bestDelta := -1e-12 // require strict improvement
@@ -299,25 +299,25 @@ func BLG(ctx context.Context, x *eventlog.Index, set *constraints.Set, policy in
 	return finishGrouping(x, groups, policy, t0)
 }
 
-// finishGrouping packages a grouping into a core.Result with abstraction.
-func finishGrouping(x *eventlog.Index, groups []bitset.Set, policy instances.Policy, t0 time.Time) (*core.Result, error) {
+// finishGrouping packages a grouping into a core.Result and the abstracted
+// log's Index.
+func finishGrouping(x *eventlog.Index, groups []bitset.Set, policy instances.Policy, t0 time.Time) (*core.Result, *eventlog.Index, error) {
 	dc := distance.NewCalc(x, policy)
 	names := abstraction.AutoNames(x, groups, "Activity ")
 	grouping := abstraction.Grouping{Groups: groups, Names: names}
 	abstracted, err := abstraction.Apply(x, grouping, abstraction.CompletionOnly, policy)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &core.Result{
-		Feasible:   true,
-		Grouping:   grouping,
-		Distance:   dc.Grouping(groups),
-		Abstracted: abstracted.ReconstructLog(),
+		Feasible: true,
+		Grouping: grouping,
+		Distance: dc.Grouping(groups),
 	}
 	res.GroupClasses = make([][]string, len(groups))
 	for i, g := range groups {
 		res.GroupClasses[i] = x.GroupNames(g)
 	}
 	res.Timings.Candidates = time.Since(t0)
-	return res, nil
+	return res, abstracted, nil
 }

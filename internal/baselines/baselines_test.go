@@ -44,7 +44,7 @@ func TestBLQRespectsClassConstraints(t *testing.T) {
 		constraints.MustParse("|g| <= 3"),
 		constraints.MustParse("cannotlink(rcp, acc)"),
 	)
-	res, err := BLQ(bg, mkSess(t, log), set, core.Config{})
+	res, _, err := BLQ(bg, mkSess(t, log), set, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBLQClassAttrConstraint(t *testing.T) {
 		constraints.MustParse("|g| <= 4"),
 		constraints.MustParse("distinct(class.org) <= 1"),
 	)
-	res, err := BLQ(bg, mkSess(t, log), set, core.Config{})
+	res, _, err := BLQ(bg, mkSess(t, log), set, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBLQClassAttrConstraint(t *testing.T) {
 func TestBLQNotBetterThanGecco(t *testing.T) {
 	log := procgen.RunningExampleTable1()
 	set := constraints.NewSet(constraints.MustParse("|g| <= 5"))
-	blq, err := BLQ(bg, mkSess(t, log), set, core.Config{})
+	blq, _, err := BLQ(bg, mkSess(t, log), set, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBLQNotBetterThanGecco(t *testing.T) {
 
 func TestBLPPartitionCount(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	res, err := BLP(bg, eventlog.NewIndex(log), 4, instances.SplitOnRepeat)
+	res, _, err := BLP(bg, eventlog.NewIndex(log), 4, instances.SplitOnRepeat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBLPVersusGeccoSilhouette(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blp, err := BLP(bg, eventlog.NewIndex(log), target, instances.SplitOnRepeat)
+	blp, _, err := BLP(bg, eventlog.NewIndex(log), target, instances.SplitOnRepeat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestBLPVersusGeccoSilhouette(t *testing.T) {
 func TestBLGStopsAtLocalOptimum(t *testing.T) {
 	log := procgen.RunningExampleTable1()
 	set := constraints.NewSet(constraints.MustParse("distinct(role) <= 1"))
-	res, err := BLG(bg, eventlog.NewIndex(log), set, instances.SplitOnRepeat)
+	res, _, err := BLG(bg, eventlog.NewIndex(log), set, instances.SplitOnRepeat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestBLGInfeasibleWhenSingletonViolates(t *testing.T) {
 	// Every singleton violates sum >= 101 (events are 60s), and greedy has
 	// no repair mechanism.
 	set := constraints.NewSet(constraints.MustParse("sum(duration) >= 101"))
-	res, err := BLG(bg, eventlog.NewIndex(log), set, instances.SplitOnRepeat)
+	res, _, err := BLG(bg, eventlog.NewIndex(log), set, instances.SplitOnRepeat)
 	if err != nil {
 		t.Fatal(err)
 	}

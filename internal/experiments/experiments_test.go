@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"gecco/internal/baselines"
 	"gecco/internal/core"
+	"gecco/internal/discovery"
 	"gecco/internal/eventlog"
+	"gecco/internal/instances"
+	"gecco/internal/metrics"
 	"gecco/internal/procgen"
 )
 
@@ -164,6 +168,82 @@ func TestTable7BaselineShape(t *testing.T) {
 			t.Errorf("BL4 size reductions should be close: Exh %f vs BL_P %f", p.SRed, blp.SRed)
 		}
 	}
+}
+
+// TestCRedFromAbstractedIndex: scoring reads the abstracted log as the
+// Index the solver or baseline built. On the quick Table VI problems and
+// the Table VII baselines over the same logs, CRed equals the value from
+// that Index's round trip through an *eventlog.Log and NewIndex, the path
+// scoring took before.
+func TestCRedFromAbstractedIndex(t *testing.T) {
+	ctx := context.Background()
+	logs := QuickLogs(procgen.Collection())
+	cfg := Options{MaxChecks: QuickMaxChecks, Workers: 1}
+	// check scores one run both ways and counts it when it solved.
+	check := func(t *testing.T, solved map[string]int, name string, sess *core.Session, res *core.Result, abstracted *eventlog.Index, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m := evaluate(ctx, sess, res, abstracted, 0)
+		if !m.Solved {
+			return
+		}
+		want, err := metrics.ComplexityReduction(ctx, sess.Index(), eventlog.NewIndex(abstracted.ReconstructLog()), discovery.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.CRed != want {
+			t.Errorf("%s: CRed %v, through a *Log %v", name, m.CRed, want)
+		}
+		solved[name]++
+	}
+	// Each configuration and the baselines run in parallel, each with a
+	// fresh session per log.
+	run := func(name string, names []string, solve func(t *testing.T, solved map[string]int, sess *core.Session)) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			solved := map[string]int{}
+			for _, log := range logs {
+				sess, err := core.NewSession(log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solve(t, solved, sess)
+			}
+			for _, n := range names {
+				if solved[n] == 0 {
+					t.Errorf("%s solved none of the problems", n)
+				}
+			}
+		})
+	}
+	for _, mode := range table6Modes {
+		run(mode.String(), []string{mode.String()}, func(t *testing.T, solved map[string]int, sess *core.Session) {
+			for _, id := range CoreSets() {
+				set, _ := BuildSet(id, sess.Index())
+				res, abstracted, err := sess.SolveIndex(ctx, set, cfg.config(mode))
+				check(t, solved, mode.String(), sess, res, abstracted, err)
+			}
+		})
+	}
+	run("baselines", []string{"BL_Q", "BL_P", "BL_G"}, func(t *testing.T, solved map[string]int, sess *core.Session) {
+		x := sess.Index()
+		for _, id := range []SetID{SetBL1, SetBL2, SetBL3} {
+			if set, ok := BuildSet(id, x); ok {
+				res, abstracted, err := baselines.BLQ(ctx, sess, set, core.Config{})
+				check(t, solved, "BL_Q", sess, res, abstracted, err)
+			}
+		}
+		res, abstracted, err := baselines.BLP(ctx, x, max(1, x.NumClasses()/2), instances.SplitOnRepeat)
+		check(t, solved, "BL_P", sess, res, abstracted, err)
+		for _, id := range []SetID{SetA, SetM, SetN} {
+			if set, ok := BuildSet(id, x); ok {
+				res, abstracted, err := baselines.BLG(ctx, x, withoutGrouping(set), instances.SplitOnRepeat)
+				check(t, solved, "BL_G", sess, res, abstracted, err)
+			}
+		}
+	})
 }
 
 func TestPrintRowsIncludesPaperColumns(t *testing.T) {

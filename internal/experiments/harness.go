@@ -63,9 +63,10 @@ type Measures struct {
 	Dist       float64 // total distance of the selected grouping (Eq. 1)
 }
 
-// evaluate scores a finished run against the original log, reusing the
-// session's index for the silhouette and size-reduction measures.
-func evaluate(ctx context.Context, sess *core.Session, res *core.Result, elapsed time.Duration) Measures {
+// evaluate scores a finished run, whose abstracted log is abstracted,
+// against the original log, reusing the session's index for the
+// silhouette and size-reduction measures.
+func evaluate(ctx context.Context, sess *core.Session, res *core.Result, abstracted *eventlog.Index, elapsed time.Duration) Measures {
 	m := Measures{Applicable: true, Seconds: elapsed.Seconds()}
 	if res == nil || !res.Feasible {
 		return m
@@ -75,7 +76,7 @@ func evaluate(ctx context.Context, sess *core.Session, res *core.Result, elapsed
 	m.SRed = metrics.SizeReduction(len(res.Grouping.Groups), x.NumClasses())
 	// A cancelled scoring pass leaves CRed at zero; the run itself already
 	// finished, so the problem still counts as solved.
-	if cred, err := metrics.ComplexityReduction(ctx, x, eventlog.NewIndex(res.Abstracted), discovery.Options{}); err == nil {
+	if cred, err := metrics.ComplexityReduction(ctx, x, abstracted, discovery.Options{}); err == nil {
 		m.CRed = cred
 	}
 	m.Sil = metrics.Silhouette(x, res.Grouping.Groups)
@@ -107,12 +108,12 @@ func RunProblemSession(ctx context.Context, sess *core.Session, id SetID, mode c
 		return Measures{}
 	}
 	start := time.Now()
-	res, err := sess.Solve(ctx, set, opts.config(mode))
+	res, abstracted, err := sess.SolveIndex(ctx, set, opts.config(mode))
 	elapsed := time.Since(start)
 	if err != nil {
 		return Measures{Applicable: true, Seconds: elapsed.Seconds()}
 	}
-	return evaluate(ctx, sess, res, elapsed)
+	return evaluate(ctx, sess, res, abstracted, elapsed)
 }
 
 // sessionPool lazily builds and reuses one session per log, so a table
@@ -302,14 +303,14 @@ func withLabel(r Row, label string) Row {
 
 // runBaseline times one baseline solver and scores its result the way
 // GECCO's rows are scored; a solver error leaves only the time.
-func runBaseline(ctx context.Context, sess *core.Session, solve func(ctx context.Context) (*core.Result, error)) Measures {
+func runBaseline(ctx context.Context, sess *core.Session, solve func(ctx context.Context) (*core.Result, *eventlog.Index, error)) Measures {
 	start := time.Now()
-	res, err := solve(ctx)
+	res, abstracted, err := solve(ctx)
 	elapsed := time.Since(start)
 	if err != nil {
 		return Measures{Applicable: true, Seconds: elapsed.Seconds()}
 	}
-	return evaluate(ctx, sess, res, elapsed)
+	return evaluate(ctx, sess, res, abstracted, elapsed)
 }
 
 func runBaselineQ(ctx context.Context, sess *core.Session, id SetID, opts Options) Measures {
@@ -320,7 +321,7 @@ func runBaselineQ(ctx context.Context, sess *core.Session, id SetID, opts Option
 	if !ok {
 		return Measures{}
 	}
-	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, *eventlog.Index, error) {
 		return baselines.BLQ(ctx, sess, set, core.Config{SolverTimeout: opts.SolverTimeout})
 	})
 }
@@ -333,7 +334,7 @@ func runBaselineP(ctx context.Context, sess *core.Session, opts Options) Measure
 	if n < 1 {
 		n = 1
 	}
-	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, *eventlog.Index, error) {
 		return baselines.BLP(ctx, sess.Index(), n, instances.SplitOnRepeat)
 	})
 }
@@ -346,16 +347,21 @@ func runBaselineG(ctx context.Context, sess *core.Session, id SetID, opts Option
 	if !ok {
 		return Measures{}
 	}
-	// BL_G cannot enforce grouping constraints; drop them (as the paper
-	// notes) so the comparison stays on A/M/N which have none anyway.
-	set2 := constraints.NewSet()
+	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, *eventlog.Index, error) {
+		return baselines.BLG(ctx, sess.Index(), withoutGrouping(set), instances.SplitOnRepeat)
+	})
+}
+
+// withoutGrouping is set without its grouping constraints, which BL_G
+// cannot enforce; dropping them (as the paper notes) keeps the comparison
+// on A/M/N, which have none anyway.
+func withoutGrouping(set *constraints.Set) *constraints.Set {
+	out := constraints.NewSet()
 	for _, c := range set.Class {
-		set2.Add(c)
+		out.Add(c)
 	}
 	for _, c := range set.Instance {
-		set2.Add(c)
+		out.Add(c)
 	}
-	return runBaseline(ctx, sess, func(ctx context.Context) (*core.Result, error) {
-		return baselines.BLG(ctx, sess.Index(), set2, instances.SplitOnRepeat)
-	})
+	return out
 }

@@ -170,7 +170,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, ErrBusy)
 		return
 	}
-	env, text, err := decodeAbstractRequest(w, r)
+	env, text, err := decodeAbstractRequest(s, w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -372,14 +372,14 @@ func writeJobSnapshot(w http.ResponseWriter, snap JobSnapshot, formatOverride st
 // decodeAbstractRequest accepts either the JSON envelope or a raw XES/CSV
 // body with query-parameter settings (curl-friendly). The log comes back
 // as a logText; the envelope's Log field is left empty.
-func decodeAbstractRequest(w http.ResponseWriter, r *http.Request) (*AbstractRequest, *logText, error) {
+func decodeAbstractRequest(s *Service, w http.ResponseWriter, r *http.Request) (*AbstractRequest, *logText, error) {
 	body, err := readBody(w, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	if isEnvelope(r) {
 		env := &AbstractRequest{}
-		text, err := decodeEnvelope(body, env, &env.Log)
+		text, err := s.decodeEnvelope(body, env, &env.Log)
 		return env, text, err
 	}
 	q := r.URL.Query()

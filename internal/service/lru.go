@@ -1,6 +1,9 @@
 package service
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // lru is the recency bookkeeping of each of the service's bounded caches:
 // a map plus a list, front = most recently used. It takes no lock; each
@@ -88,4 +91,27 @@ func (c *lru[K, V]) each(fn func(V)) {
 func (c *lru[K, V]) clear() {
 	clear(c.entries)
 	c.order.Init()
+}
+
+// memo is an lru behind a mutex of its own, for an owner that keeps
+// nothing beside its entries: the wire memo and the log memo.
+type memo[K comparable, V any] struct {
+	mu  sync.Mutex
+	lru *lru[K, V]
+}
+
+func newMemo[K comparable, V any](capacity int) *memo[K, V] {
+	return &memo[K, V]{lru: newLRU[K, V](capacity, nil)}
+}
+
+func (m *memo[K, V]) get(k K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lru.get(k)
+}
+
+func (m *memo[K, V]) put(k K, v V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lru.put(k, v)
 }

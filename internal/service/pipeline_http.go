@@ -100,7 +100,7 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, ErrBusy)
 		return
 	}
-	env, text, err := decodePipelineRequest(w, r)
+	env, text, err := decodePipelineRequest(s, w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -131,14 +131,14 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 // decodePipelineRequest accepts either the JSON envelope or a raw XES/CSV
 // body with the stage list in the stages query parameter (curl-friendly).
 // The log comes back as a logText; the envelope's Log field is left empty.
-func decodePipelineRequest(w http.ResponseWriter, r *http.Request) (*PipelineHTTPRequest, *logText, error) {
+func decodePipelineRequest(s *Service, w http.ResponseWriter, r *http.Request) (*PipelineHTTPRequest, *logText, error) {
 	body, err := readBody(w, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	if isEnvelope(r) {
 		env := &PipelineHTTPRequest{}
-		text, err := decodeEnvelope(body, env, &env.Log)
+		text, err := s.decodeEnvelope(body, env, &env.Log)
 		return env, text, err
 	}
 	q := r.URL.Query()

@@ -69,6 +69,9 @@ type Router struct {
 	local http.Handler // Handler(svc); nil on a pure coordinator
 	opts  ShardOptions
 	ring  *shard.Ring
+	// logs is a pure coordinator's log memo; a router with a local
+	// service decodes through the service's, which its handlers share.
+	logs *logMemo
 
 	selfID   string
 	addrByID map[string]string
@@ -124,6 +127,8 @@ func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
 	}
 	if svc != nil {
 		rt.local = Handler(svc)
+	} else {
+		rt.logs = newLogMemo()
 	}
 	for i, id := range opts.MemberIDs {
 		rt.addrByID[id] = strings.TrimSuffix(opts.Peers[i], "/")
@@ -190,6 +195,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // local handler or the forwarded request. The key is the SHA-256 of the log
 // text, so a JSON envelope and the raw body of the same log land on the
 // same shard; the upload path computes the same hash for the wire memo.
+// A router that serves the key locally shares its service's log memo, so
+// the handler finds the log string this scan validated.
 func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -201,7 +208,12 @@ func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
 		var env struct {
 			Log string `json:"log"`
 		}
-		if text, err = decodeEnvelope(body, &env, &env.Log); err != nil {
+		if rt.svc != nil {
+			text, err = rt.svc.decodeEnvelope(body, &env, &env.Log)
+		} else {
+			text, err = decodeEnvelope(body, &env, &env.Log, rt.logs)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}

@@ -137,6 +137,32 @@ func TestRouterDigestAffinity(t *testing.T) {
 	}
 }
 
+// TestRouterSharesLogMemo: an envelope posted straight to its owner is
+// decoded by the owner's router and then by its handler, through one log
+// memo, so the log string is unescaped once however often it is sent.
+func TestRouterSharesLogMemo(t *testing.T) {
+	c := newTestCluster(t, 2, Options{})
+	logXES := runningExampleXES(t)
+	body, err := json.Marshal(AbstractRequest{Log: logXES, Constraints: "distinct(role) <= 1", Mode: "dfg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := c.ownerIndex(t, logXES)
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(c.servers[owner].URL+"/abstract", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %d: status %d", i+1, resp.StatusCode)
+		}
+	}
+	if n := localStats(t, c.servers[owner]).Uploads.Decoded; n != 1 {
+		t.Fatalf("owner's uploads.decoded = %d, want 1", n)
+	}
+}
+
 // TestRouterJSONAndRawBodiesAgree: the JSON envelope and the raw-body form
 // of the same log must route to the same shard (the key is the log text, not
 // the wire bytes).
@@ -644,6 +670,15 @@ func TestRouterRejectsMalformedEnvelope(t *testing.T) {
 	}
 	coord.forwardRetries = 1
 	coord.forwardBackoff = time.Millisecond
+	// A valid envelope first, which no shard can take: the coordinator's
+	// log memo learns the log the malformed bodies carry.
+	valid := httptest.NewRequest(http.MethodPost, "/abstract", strings.NewReader(`{"log":"<log/>"}`))
+	valid.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	coord.ServeHTTP(rec, valid)
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("valid envelope: status %d, want 502 with no shard reachable", rec.Code)
+	}
 	for _, body := range []string{`{"mode":tru,"log":"<log/>"}`, `{"log":"<log/>","mode":}`} {
 		var env struct {
 			Log string `json:"log"`

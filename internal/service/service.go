@@ -327,6 +327,10 @@ type UploadStats struct {
 	// /abstract, nor the warm tier), and the sets of a batch share one
 	// parse.
 	Parsed int64 `json:"parsed"`
+	// Decoded counts the envelope log strings unescaped in full: those the
+	// node's log memo did not know and that validated. A re-sent string is
+	// counted once per node, and a raw body never.
+	Decoded int64 `json:"decoded"`
 }
 
 // Stats is the /stats payload.
@@ -359,6 +363,7 @@ type Service struct {
 	store    *diskStore     // nil when DataDir unset or unusable
 	pipe     *stageCache    // nil when the pipeline cache is disabled
 	wire     *wireMemo      // upload wire identity -> canonical log digest
+	logs     *logMemo       // envelope log string -> its decoded digest
 	sem      chan struct{}
 
 	// maxQueued bounds the jobs and /pipeline runs waiting for a
@@ -392,7 +397,9 @@ type Service struct {
 	pipelineRuns atomic.Int64
 	// uploadsParsed counts the parses openLog's loaders run.
 	uploadsParsed atomic.Int64
-	active        sync.WaitGroup
+	// uploadsDecoded counts the log strings decodeEnvelope unescaped.
+	uploadsDecoded atomic.Int64
+	active         sync.WaitGroup
 
 	// draining marks the service as leaving rotation: /readyz reports 503 so
 	// routers and load balancers stop sending new work, while liveness and
@@ -439,6 +446,7 @@ func New(opts Options) *Service {
 		store:      store,
 		pipe:       pipe,
 		wire:       newWireMemo(),
+		logs:       newLogMemo(),
 		sem:        make(chan struct{}, opts.MaxConcurrent),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -596,7 +604,7 @@ func (s *Service) Busy() bool {
 
 // Stats snapshots cache and job counters.
 func (s *Service) Stats() Stats {
-	st := Stats{Cache: s.cache.Stats(), Uploads: UploadStats{Parsed: s.uploadsParsed.Load()}}
+	st := Stats{Cache: s.cache.Stats(), Uploads: UploadStats{Parsed: s.uploadsParsed.Load(), Decoded: s.uploadsDecoded.Load()}}
 	if s.sessions != nil {
 		st.Sessions = s.sessions.Stats()
 	}

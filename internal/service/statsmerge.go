@@ -37,6 +37,7 @@ func MergeStats(a, b Stats) Stats {
 	out.Cache.Capacity = a.Cache.Capacity + b.Cache.Capacity
 
 	out.Uploads.Parsed = a.Uploads.Parsed + b.Uploads.Parsed
+	out.Uploads.Decoded = a.Uploads.Decoded + b.Uploads.Decoded
 
 	out.Sessions.Hits = a.Sessions.Hits + b.Sessions.Hits
 	out.Sessions.Misses = a.Sessions.Misses + b.Sessions.Misses

@@ -12,7 +12,7 @@ func sampleStats() []Stats {
 	full := func(seed int64) Stats {
 		var s Stats
 		s.Cache = CacheStats{Hits: seed, Misses: seed + 1, Evictions: seed + 2, Entries: int(seed % 7), Capacity: 64}
-		s.Uploads = UploadStats{Parsed: seed * 7}
+		s.Uploads = UploadStats{Parsed: seed * 7, Decoded: seed * 5}
 		s.Sessions = SessionStats{Hits: seed * 3, Misses: seed, Evictions: 1, Entries: 2, Capacity: 8, IndexBytes: seed * 1000}
 		s.Streams = StreamStats{Live: 1, Capacity: 16, Created: seed, Closed: seed / 2, Evicted: 0, Traces: seed * 5, Regroupings: seed / 3, Drifts: 1}
 		s.Jobs = JobStats{Started: seed * 2, Completed: seed*2 - 1, Failed: 0, Cancelled: 1, Coalesced: seed / 4, Panicked: seed % 3, Running: 1, Queued: int(seed % 3)}

@@ -2,18 +2,23 @@
 // router. A body is read once, capped at maxBodyBytes, into a buffer that
 // grows as bytes arrive and ends at its Content-Length. A raw body is the
 // log itself. A JSON envelope is scanned for its one top-level "log"
-// string, which is validated and unescaped exactly as encoding/json does
-// while the decoded bytes stream into one SHA-256; the rest of the
-// envelope, with the log blanked to "", goes through encoding/json. Any
-// body the scanner does not take goes whole through encoding/json, so
-// requests and error texts are those of json.Unmarshal. The digest keys the
-// wire memo and places the upload on the ring; the decoded text itself is
-// materialised only when the log must be parsed.
+// string. The first time a node sees that string, it is validated and
+// unescaped exactly as encoding/json does, a word at a time, while the
+// decoded bytes stream into one SHA-256; the node's log memo then maps the
+// SHA-256 of the string's escaped bytes to that digest and length, so the
+// same string sent again costs a scan for its closing quote and a SHA-256
+// of its escaped bytes. The rest of the envelope, with the log blanked to
+// "", goes through encoding/json. Any body the scanner does not take goes
+// whole through encoding/json, so requests and error texts are those of
+// json.Unmarshal. The digest of the decoded text keys the wire memo and
+// places the upload on the ring; the decoded text itself is materialised
+// only when the log must be parsed.
 package service
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,6 +161,9 @@ type logText struct {
 	n       int // length of the decoded text
 	sum     [sha256.Size]byte
 	summed  bool // sum is set
+	// decoded is set on an envelope's log that the scan unescaped in full,
+	// one its node's log memo did not know.
+	decoded bool
 }
 
 // plainText is a logText whose bytes are the text itself.
@@ -219,9 +227,10 @@ func uploadFormat(declared string, text *logText) (string, error) {
 
 // decodeEnvelope decodes a JSON envelope body into env, whose "log" field
 // is log, and returns the log as a logText; the field itself is left
-// empty. Requests and errors are those of json.Unmarshal(body, env).
-func decodeEnvelope(body []byte, env any, log *string) (*logText, error) {
-	if text, start, end := scanEnvelope(body); text != nil {
+// empty. Requests and errors are those of json.Unmarshal(body, env). logs
+// is the node's log memo.
+func decodeEnvelope(body []byte, env any, log *string, logs *logMemo) (*logText, error) {
+	if text, start, end := scanEnvelope(body, logs); text != nil {
 		// The rest of the envelope: body with the log blanked to "".
 		rest := make([]byte, 0, len(body)-(end-start))
 		rest = append(append(rest, body[:start]...), body[end:]...)
@@ -236,6 +245,16 @@ func decodeEnvelope(body []byte, env any, log *string) (*logText, error) {
 	text := plainText([]byte(*log))
 	*log = ""
 	return text, nil
+}
+
+// decodeEnvelope decodes an envelope through the node's log memo and
+// counts a log string it unescaped in full.
+func (s *Service) decodeEnvelope(body []byte, env any, log *string) (*logText, error) {
+	text, err := decodeEnvelope(body, env, log, s.logs)
+	if err == nil && text.decoded {
+		s.uploadsDecoded.Add(1)
+	}
+	return text, err
 }
 
 // logKey is the envelope member scanEnvelope looks for.
@@ -254,7 +273,7 @@ var logKey = []byte("log")
 // the rest when it decodes the body with the log blanked to "", and
 // blanking a valid string changes neither the body's validity nor its
 // first error.
-func scanEnvelope(body []byte) (text *logText, start, end int) {
+func scanEnvelope(body []byte, logs *logMemo) (text *logText, start, end int) {
 	i := skipSpace(body, 0)
 	if i == len(body) || body[i] != '{' {
 		return nil, 0, 0
@@ -279,7 +298,7 @@ func scanEnvelope(body []byte) (text *logText, start, end int) {
 			if text != nil || i == len(body) || body[i] != '"' {
 				return nil, 0, 0
 			}
-			if text, end = hashString(body, i+1); text == nil {
+			if text, end = hashString(body, i+1, logs); text == nil {
 				return nil, 0, 0
 			}
 			start, i = i+1, end+1
@@ -302,14 +321,78 @@ func scanEnvelope(body []byte) (text *logText, start, end int) {
 	return text, start, end
 }
 
-// hashChunk is how many decoded bytes hashString hands SHA-256 at a time.
+// logSum is what a log memo keeps of an envelope log string that
+// validated: the SHA-256 and length of its decoded text.
+type logSum struct {
+	sum [sha256.Size]byte
+	n   int
+}
+
+// logMemo maps the SHA-256 of an envelope log string's escaped bytes to
+// its logSum. A node keeps one, which its router and its handlers share.
+// Only strings that validated enter it, and equal digests mean equal
+// bytes, so a hit is a string encoding/json accepts, closing where it
+// closed before. No digest comes from another node: each hashes the bytes
+// it received.
+type logMemo = memo[[sha256.Size]byte, logSum]
+
+func newLogMemo() *logMemo {
+	return newMemo[[sha256.Size]byte, logSum](wireMemoCapacity)
+}
+
+// hashString validates the JSON string whose contents start at body[i]. It
+// returns the string's text and the position of its closing quote, or nil
+// for a string encoding/json would reject. A string the memo knows is not
+// unescaped; any other is decoded in full and, when it validates, enters
+// the memo.
+func hashString(body []byte, i int, logs *logMemo) (*logText, int) {
+	end := stringEnd(body, i)
+	if end < 0 {
+		return nil, 0
+	}
+	key := sha256.Sum256(body[i:end])
+	if s, ok := logs.get(key); ok {
+		return &logText{src: body[i:end], escaped: true, n: s.n, sum: s.sum, summed: true}, end
+	}
+	text, end := decodeString(body, i)
+	if text != nil {
+		text.decoded = true
+		logs.put(key, logSum{sum: text.sum, n: text.n})
+	}
+	return text, end
+}
+
+// stringEnd returns the position of the first '"' at or after b[i] that
+// no odd run of backslashes escapes, or -1 when there is none. For the
+// contents of a string encoding/json accepts, that is its closing quote;
+// a string without one is unterminated.
+func stringEnd(b []byte, i int) int {
+	for start := i; ; {
+		q := bytes.IndexByte(b[i:], '"')
+		if q < 0 {
+			return -1
+		}
+		q += i
+		j := q
+		for j > start && b[j-1] == '\\' {
+			j--
+		}
+		if (q-j)%2 == 0 {
+			return q
+		}
+		i = q + 1
+	}
+}
+
+// hashChunk is how many decoded bytes decodeString hands SHA-256 at a
+// time.
 const hashChunk = 16 << 10
 
-// hashString validates the JSON string whose contents start at body[i],
+// decodeString validates the JSON string whose contents start at body[i],
 // streaming its decoded text into SHA-256. It returns the text and the
 // position of the closing quote, or nil for a string encoding/json would
 // reject.
-func hashString(body []byte, i int) (*logText, int) {
+func decodeString(body []byte, i int) (*logText, int) {
 	start := i
 	h := sha256.New()
 	buf := make([]byte, 0, hashChunk)
@@ -337,14 +420,25 @@ func hashString(body []byte, i int) (*logText, int) {
 // It stops at a closing quote, at the end of src, or before a piece that
 // would not fit in dst's capacity, and returns the position it stopped
 // at; pieces are whole runes. ok is false at a control character or an
-// escape encoding/json rejects.
+// escape encoding/json rejects. Bytes of dst past its returned length may
+// be overwritten.
 //
 //gecco:hotpath
 func unquote(dst, src []byte, i int) (_ []byte, next int, ok bool) {
 	var tmp [utf8.UTFMax]byte
 	for i < len(src) {
-		c := src[i]
-		if verbatim[c] {
+		// A word at a time while src and dst both have one: store all
+		// eight bytes, keep those before the first that is not verbatim.
+		if len(src)-i >= 8 && cap(dst)-len(dst) >= 8 {
+			n := len(dst)
+			w := binary.LittleEndian.Uint64(src[i:])
+			binary.LittleEndian.PutUint64(dst[n:n+8], w)
+			k := verbatimLen(w)
+			dst, i = dst[:n+k], i+k
+			if k == 8 {
+				continue
+			}
+		} else if verbatim[src[i]] {
 			j := i + 1
 			for j < len(src) && verbatim[src[j]] {
 				j++
@@ -357,20 +451,29 @@ func unquote(dst, src []byte, i int) (_ []byte, next int, ok bool) {
 			i = j
 			continue
 		}
+		c := src[i]
 		var piece []byte
 		size := 1
 		switch {
 		case c == '"':
 			return dst, i, true
 		case c == '\\':
+			// The usual escapes stand for one ASCII byte.
+			if len(src)-i >= 2 && len(dst) < cap(dst) {
+				if b := escapedByte[src[i+1]]; b != 0 {
+					dst = append(dst, b)
+					i += 2
+					continue
+				}
+				if b, ok := hexASCII(src[i:]); ok {
+					dst = append(dst, b)
+					i += 6
+					continue
+				}
+			}
 			var r rune
 			if r, size = escape(src, i); size == 0 {
 				return dst, i, false
-			}
-			if r < utf8.RuneSelf && len(dst) < cap(dst) {
-				dst = append(dst, byte(r))
-				i += size
-				continue
 			}
 			piece = utf8.AppendRune(tmp[:0], r)
 		case c < ' ':
@@ -392,6 +495,36 @@ func unquote(dst, src []byte, i int) (_ []byte, next int, ok bool) {
 	return dst, i, true
 }
 
+// Byte lanes of a 64-bit word: the lowest and the highest bit of each.
+const (
+	laneLow  = 0x0101010101010101
+	laneHigh = 0x8080808080808080
+)
+
+// verbatimLen returns how many of w's eight bytes, the first in the low
+// bits, come before the first that is not verbatim: '"', '\\', a control
+// character, or a byte of 0x80 and above. A lane's subtraction borrows
+// from the next lane only when the lane itself matched, so the lowest
+// lane flagged is always a true match.
+func verbatimLen(w uint64) int {
+	quote, bslash := w^(laneLow*'"'), w^(laneLow*'\\')
+	stop := (quote-laneLow)&^quote | (bslash-laneLow)&^bslash | (w - laneLow*' ') | w
+	return bits.TrailingZeros64(stop&laneHigh) / 8
+}
+
+// hexASCII decodes a \u00XX escape below 0x80 at the start of s.
+func hexASCII(s []byte) (byte, bool) {
+	if len(s) < 6 || s[1] != 'u' || s[2] != '0' || s[3] != '0' {
+		return 0, false
+	}
+	hi, lo := hexDigit[s[4]], hexDigit[s[5]]
+	return byte(hi)<<4 | byte(lo), uint8(hi) < 8 && lo >= 0
+}
+
+// escapedByte maps the byte after a backslash to the byte its two-byte
+// escape stands for, and any other byte to 0.
+var escapedByte = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
 // verbatim marks the bytes a JSON string carries as themselves: printable
 // ASCII other than '"' and '\\'.
 var verbatim = func() (t [256]bool) {
@@ -408,33 +541,20 @@ func escape(src []byte, i int) (rune, int) {
 	if i+1 == len(src) {
 		return 0, 0
 	}
-	switch src[i+1] {
-	case '"', '\\', '/':
-		return rune(src[i+1]), 2
-	case 'b':
-		return '\b', 2
-	case 'f':
-		return '\f', 2
-	case 'n':
-		return '\n', 2
-	case 'r':
-		return '\r', 2
-	case 't':
-		return '\t', 2
-	case 'u':
-		r := hex4(src[i:])
-		if r < 0 {
-			return 0, 0
-		}
-		if utf16.IsSurrogate(r) {
-			if pair := utf16.DecodeRune(r, hex4(src[i+6:])); pair != unicode.ReplacementChar {
-				return pair, 12
-			}
-			return unicode.ReplacementChar, 6
-		}
-		return r, 6
+	if b := escapedByte[src[i+1]]; b != 0 {
+		return rune(b), 2
 	}
-	return 0, 0
+	r := hex4(src[i:])
+	if r < 0 {
+		return 0, 0
+	}
+	if utf16.IsSurrogate(r) {
+		if pair := utf16.DecodeRune(r, hex4(src[i+6:])); pair != unicode.ReplacementChar {
+			return pair, 12
+		}
+		return unicode.ReplacementChar, 6
+	}
+	return r, 6
 }
 
 // hex4 decodes a \uXXXX escape at the start of s, or returns -1.

@@ -3,13 +3,17 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,14 +130,23 @@ func oracleFormat(declared, log string) string {
 var testRing = shard.New([]string{"shard-0", "shard-1", "shard-2"}, 0)
 
 // checkEnvelope decodes body with the upload path and with json.Unmarshal,
-// into both envelope types, and fails unless both fail with the same text
+// into each envelope type, and fails unless both fail with the same text
 // or both succeed with equal requests once the log is materialised — and
-// the log's streamed digest is its wire key and its ring placement.
+// the log's streamed digest is its wire key and its ring placement. Each
+// type decodes body twice through a fresh log memo: the first decode
+// unescapes the log string, the second finds it in the memo.
 func checkEnvelope(t *testing.T, body []byte) {
 	t.Helper()
-	checkDecode[AbstractRequest](t, body, func(e *AbstractRequest) (*string, string) { return &e.Log, e.Format })
-	checkDecode[PipelineHTTPRequest](t, body, func(e *PipelineHTTPRequest) (*string, string) { return &e.Log, e.Format })
-	checkDecode[routerEnvelope](t, body, func(e *routerEnvelope) (*string, string) { return &e.Log, "" })
+	checkEnvelopeMemo(t, body, newLogMemo)
+}
+
+// checkEnvelopeMemo is checkEnvelope with each envelope type's log memo
+// from logs.
+func checkEnvelopeMemo(t *testing.T, body []byte, logs func() *logMemo) {
+	t.Helper()
+	checkDecode[AbstractRequest](t, body, logs(), func(e *AbstractRequest) (*string, string) { return &e.Log, e.Format })
+	checkDecode[PipelineHTTPRequest](t, body, logs(), func(e *PipelineHTTPRequest) (*string, string) { return &e.Log, e.Format })
+	checkDecode[routerEnvelope](t, body, logs(), func(e *routerEnvelope) (*string, string) { return &e.Log, "" })
 }
 
 // routerEnvelope is the envelope Router.routeByLog decodes: only the log it
@@ -142,46 +155,54 @@ type routerEnvelope struct {
 	Log string `json:"log"`
 }
 
-func checkDecode[E any](t *testing.T, body []byte, fields func(*E) (log *string, format string)) {
+// checkDecode decodes body into E twice through logs and holds each decode
+// to json.Unmarshal; the second never unescapes the log again.
+func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E) (log *string, format string)) {
 	t.Helper()
-	var want, got E
+	var want E
 	werr := json.Unmarshal(body, &want)
 	wantLog, wantFormat := fields(&want)
-	gotLog, _ := fields(&got)
-	text, err := decodeEnvelope(body, &got, gotLog)
-	if (err == nil) != (werr == nil) {
-		t.Fatalf("%T: decodeEnvelope error %v, json.Unmarshal error %v", got, err, werr)
-	}
-	if err != nil {
-		if w := "decoding JSON envelope: " + werr.Error(); err.Error() != w {
-			t.Fatalf("%T: error %q, want %q", got, err, w)
+	for pass := 1; pass <= 2; pass++ {
+		var got E
+		gotLog, _ := fields(&got)
+		text, err := decodeEnvelope(body, &got, gotLog, logs)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%T, decode %d: decodeEnvelope error %v, json.Unmarshal error %v", got, pass, err, werr)
 		}
-		return
-	}
-	if *gotLog != "" {
-		t.Fatalf("%T: Log field holds %q; the log belongs to the logText", got, *gotLog)
-	}
-	decoded := text.bytes()
-	if len(decoded) != text.n {
-		t.Fatalf("%T: decoded %d bytes, scan counted %d", got, len(decoded), text.n)
-	}
-	*gotLog = string(decoded)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%T: decoded\n%+v\njson.Unmarshal\n%+v", got, got, want)
-	}
-	format, ferr := uploadFormat(wantFormat, text)
-	wantFormat = oracleFormat(wantFormat, *wantLog)
-	if known := wantFormat == "xes" || wantFormat == "csv"; (ferr == nil) != known || known && format != wantFormat {
-		t.Fatalf("%T: format %q (%v), want %q", got, format, ferr, wantFormat)
-	}
-	if ferr != nil {
-		return
-	}
-	if id := (wireID{format: format, sum: text.digest()}); id != wireKey(format, *wantLog) {
-		t.Fatalf("%T: streamed wire key differs from wireKey(%q, log)", got, format)
-	}
-	if seq, ref := testRing.SequenceHash(shard.HashSum(text.digest())), testRing.Sequence(*wantLog); !reflect.DeepEqual(seq, ref) {
-		t.Fatalf("%T: placement %v, Ring.Sequence(log) %v", got, seq, ref)
+		if err != nil {
+			if w := "decoding JSON envelope: " + werr.Error(); err.Error() != w {
+				t.Fatalf("%T, decode %d: error %q, want %q", got, pass, err, w)
+			}
+			continue
+		}
+		if pass == 2 && text.decoded {
+			t.Fatalf("%T: the second decode unescaped the log string again", got)
+		}
+		if *gotLog != "" {
+			t.Fatalf("%T, decode %d: Log field holds %q; the log belongs to the logText", got, pass, *gotLog)
+		}
+		decoded := text.bytes()
+		if len(decoded) != text.n {
+			t.Fatalf("%T, decode %d: decoded %d bytes, scan counted %d", got, pass, len(decoded), text.n)
+		}
+		*gotLog = string(decoded)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T, decode %d: decoded\n%+v\njson.Unmarshal\n%+v", got, pass, got, want)
+		}
+		format, ferr := uploadFormat(wantFormat, text)
+		oracle := oracleFormat(wantFormat, *wantLog)
+		if known := oracle == "xes" || oracle == "csv"; (ferr == nil) != known || known && format != oracle {
+			t.Fatalf("%T, decode %d: format %q (%v), want %q", got, pass, format, ferr, oracle)
+		}
+		if ferr != nil {
+			continue
+		}
+		if id := (wireID{format: format, sum: text.digest()}); id != wireKey(format, *wantLog) {
+			t.Fatalf("%T, decode %d: streamed wire key differs from wireKey(%q, log)", got, pass, format)
+		}
+		if seq, ref := testRing.SequenceHash(shard.HashSum(text.digest())), testRing.Sequence(*wantLog); !reflect.DeepEqual(seq, ref) {
+			t.Fatalf("%T, decode %d: placement %v, Ring.Sequence(log) %v", got, pass, seq, ref)
+		}
 	}
 }
 
@@ -191,13 +212,16 @@ func TestDecodeEnvelopeMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestScannerTakesPlainEnvelopes pins which bodies take the fast path: a
-// fallback is always correct, so only this test notices a scanner that
-// gives up on ordinary envelopes.
+// TestScannerTakesPlainEnvelopes pins which bodies take the fast path, on
+// a log memo miss and then on a hit: a fallback is always correct, so only
+// this test notices a scanner that gives up on ordinary envelopes.
 func TestScannerTakesPlainEnvelopes(t *testing.T) {
 	for _, tc := range envelopeCases(t) {
-		if text, _, _ := scanEnvelope([]byte(tc.body)); (text != nil) != tc.taken {
-			t.Errorf("%s: scanner took the body: %v, want %v", tc.name, text != nil, tc.taken)
+		logs := newLogMemo()
+		for pass := 1; pass <= 2; pass++ {
+			if text, _, _ := scanEnvelope([]byte(tc.body), logs); (text != nil) != tc.taken {
+				t.Errorf("%s, scan %d: scanner took the body: %v, want %v", tc.name, pass, text != nil, tc.taken)
+			}
 		}
 	}
 }
@@ -206,6 +230,86 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkEnvelope(t, body)
 	})
+}
+
+// TestLogMemoHitNeedsTheWholeString: a log memo that knows a valid string
+// S decides nothing about an envelope that carries S where encoding/json
+// rejects it or reads it as another string. Each envelope decodes as
+// json.Unmarshal decodes it, through a memo primed with S.
+func TestLogMemoHitNeedsTheWholeString(t *testing.T) {
+	quoted, err := json.Marshal(xesText(t, procgen.RunningExample(3, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	contents := string(quoted[1 : len(quoted)-1])
+	primed := func() *logMemo {
+		logs := newLogMemo()
+		var env routerEnvelope
+		text, err := decodeEnvelope([]byte(`{"log":`+string(quoted)+`}`), &env, &env.Log, logs)
+		if err != nil || !text.decoded {
+			t.Fatalf("priming the memo: decoded %v, err %v", text != nil && text.decoded, err)
+		}
+		return logs
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"unterminated", `{"log":"` + contents},
+		{"escaped quote then raw control", `{"log":"` + contents + "\\\"\x01\"}"},
+		{"capitalised key", `{"Log":"` + contents + `"}`},
+		{"malformed rest", `{"log":"` + contents + `","mode":}`},
+		{"type error in the rest", `{"log":"` + contents + `","beamWidth":"wide"}`},
+		{"prefix of a longer string", `{"log":"` + contents + `<x/>"}`},
+	} {
+		t.Run(seedName(tc.name), func(t *testing.T) { checkEnvelopeMemo(t, []byte(tc.body), primed) })
+	}
+}
+
+// TestLogMemoConcurrent decodes repeated and distinct log strings from
+// several goroutines through one small shared memo, so that hits, misses
+// and evictions interleave, and checks every decode against json.Unmarshal
+// only after all of them are done.
+func TestLogMemoConcurrent(t *testing.T) {
+	const workers, rounds = 6, 40
+	var bodies [][]byte
+	var want []string
+	for i := 0; i < 9; i++ {
+		log := xesText(t, procgen.RunningExample(2+i%3, int64(i)))
+		body, err := json.Marshal(AbstractRequest{Log: log, Constraints: "distinct(role) <= 1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies, want = append(bodies, body), append(want, log)
+	}
+	logs := newMemo[[sha256.Size]byte, logSum](4)
+	type result struct {
+		body int
+		text *logText
+		err  error
+	}
+	got := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w*7 + r*r) % len(bodies)
+				var env AbstractRequest
+				text, err := decodeEnvelope(bodies[i], &env, &env.Log, logs)
+				got[w] = append(got[w], result{i, text, err})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for _, r := range got[w] {
+			if r.err != nil {
+				t.Fatalf("body %d: %v", r.body, r.err)
+			}
+			if string(r.text.bytes()) != want[r.body] || r.text.digest() != sha256.Sum256([]byte(want[r.body])) || r.text.n != len(want[r.body]) {
+				t.Fatalf("body %d decoded to another text, digest or length", r.body)
+			}
+		}
+	}
 }
 
 var updateSeeds = flag.Bool("update-seeds", false, "rewrite the FuzzDecodeEnvelope seed corpus in testdata")
@@ -273,6 +377,44 @@ func TestUnquoteChunks(t *testing.T) {
 		}
 		if string(got) != want {
 			t.Fatalf("capacity %d: decoded %q, want %q", size, got, want)
+		}
+	}
+}
+
+// TestVerbatimLen holds the word scan to the verbatim table: every byte
+// value in every lane, after verbatim bytes and before random ones, which
+// may hold more stops and must not move the first.
+func TestVerbatimLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randVerbatim := func() byte {
+		for {
+			if c := byte(rng.Intn(256)); verbatim[c] {
+				return c
+			}
+		}
+	}
+	var b [8]byte
+	for lane := range b {
+		for c := 0; c < 256; c++ {
+			for trial := 0; trial < 4; trial++ {
+				for j := range b {
+					switch {
+					case j < lane:
+						b[j] = randVerbatim()
+					case j == lane:
+						b[j] = byte(c)
+					default:
+						b[j] = byte(rng.Intn(256))
+					}
+				}
+				want := 0
+				for want < len(b) && verbatim[b[want]] {
+					want++
+				}
+				if got := verbatimLen(binary.LittleEndian.Uint64(b[:])); got != want {
+					t.Fatalf("verbatimLen(%q) = %d, want %d", b, got, want)
+				}
+			}
 		}
 	}
 }
@@ -388,6 +530,49 @@ func TestReadCappedConcurrent(t *testing.T) {
 	}
 }
 
+// TestUploadsDecodedOncePerLog: /stats uploads.decoded counts the envelope
+// log strings a node unescapes in full. One log sent in envelopes to
+// /abstract under three constraint sets and to /pipeline twice is decoded
+// once, a second log once more, and a raw body never.
+func TestUploadsDecodedOncePerLog(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	post := func(path string, env any) {
+		t.Helper()
+		body, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	decoded := func(want int64) {
+		t.Helper()
+		if n := svc.Stats().Uploads.Decoded; n != want {
+			t.Fatalf("uploads.decoded = %d, want %d", n, want)
+		}
+	}
+	logXES := runningExampleXES(t)
+	for _, set := range []string{"distinct(role) <= 1", "distinct(role) <= 2", "|g| <= 3"} {
+		post("/abstract", AbstractRequest{Log: logXES, Constraints: set, Mode: "dfg"})
+	}
+	for i := 0; i < 2; i++ {
+		post("/pipeline", PipelineHTTPRequest{Log: logXES, Constraints: "distinct(role) <= 1"})
+	}
+	decoded(1)
+	post("/abstract", AbstractRequest{Log: xesText(t, procgen.RunningExample(3, 1)), Constraints: "distinct(role) <= 1", Mode: "dfg"})
+	decoded(2)
+	if resp, out := postAbstract(t, srv, logXES, url.Values{"constraints": {"distinct(role) <= 3"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("raw body: status %d: %+v", resp.StatusCode, out)
+	}
+	decoded(2)
+}
+
 // BenchmarkReadCapped reads a 200-trace loan log's envelope body of a
 // declared length, as readBody does; its B/op is what one body read leaves
 // the garbage collector.
@@ -407,22 +592,40 @@ func BenchmarkReadCapped(b *testing.B) {
 
 // BenchmarkDecodeEnvelope decodes a 200-trace loan log's envelope and
 // derives its wire key: the upload path against json.Unmarshal plus
-// wireKey, the decode it replaced.
+// wireKey, the decode it replaced. hit decodes through a warm log memo, as
+// a node does with a log it has seen, and miss through a fresh memo per
+// op, as with a first sight; miss is the one measure of that path, as no
+// workload of the benchmark sends a first-sight envelope once it is
+// measuring. scan is the part of a miss that unescapes and hashes the log
+// string, without the memo's quote scan and SHA-256 of the escaped bytes.
 func BenchmarkDecodeEnvelope(b *testing.B) {
 	body, err := json.Marshal(AbstractRequest{Log: xesText(b, procgen.LoanLog(200, 1)), Constraints: "distinct(role) <= 3"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("scan", func(b *testing.B) {
+	decode := func(b *testing.B, logs func() *logMemo) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var env AbstractRequest
-			text, err := decodeEnvelope(body, &env, &env.Log)
+			text, err := decodeEnvelope(body, &env, &env.Log, logs())
 			if err != nil {
 				b.Fatal(err)
 			}
 			_ = wireID{format: "xes", sum: text.digest()}
+		}
+	}
+	warm := newLogMemo()
+	b.Run("hit", func(b *testing.B) { decode(b, func() *logMemo { return warm }) })
+	b.Run("miss", func(b *testing.B) { decode(b, newLogMemo) })
+	b.Run("scan", func(b *testing.B) {
+		_, start, _ := scanEnvelope(body, newLogMemo())
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if text, _ := decodeString(body, start); text == nil {
+				b.Fatal("the log string did not validate")
+			}
 		}
 	})
 	b.Run("unmarshal", func(b *testing.B) {

@@ -11,20 +11,16 @@
 // re-reading the XES.
 package service
 
-import (
-	"crypto/sha256"
-	"sync"
-)
+import "crypto/sha256"
 
-// wireMemoCapacity bounds the memo. Entries are a wire identity and a hex
-// digest (~150 bytes), so this covers any realistic hot set in about
-// 150 KiB.
+// wireMemoCapacity bounds the memo, and the log memo too. A wire-memo
+// entry is a wire identity and a hex digest (~150 bytes), a log-memo entry
+// two SHA-256s and a length (~100 bytes), so each covers any realistic hot
+// set in at most about 150 KiB.
 const wireMemoCapacity = 1024
 
-type wireMemo struct {
-	mu  sync.Mutex
-	lru *lru[wireID, string]
-}
+// wireMemo maps an upload's wire identity to its canonical log digest.
+type wireMemo = memo[wireID, string]
 
 // wireID is an upload's wire identity: its format and the SHA-256 of its
 // log text (decoded from the envelope when it came in one). The same text
@@ -35,23 +31,11 @@ type wireID struct {
 }
 
 func newWireMemo() *wireMemo {
-	return &wireMemo{lru: newLRU[wireID, string](wireMemoCapacity, nil)}
+	return newMemo[wireID, string](wireMemoCapacity)
 }
 
 // wireKey is the reference for the wireID the upload path streams out of a
 // body.
 func wireKey(format, text string) wireID {
 	return wireID{format: format, sum: sha256.Sum256([]byte(text))}
-}
-
-func (m *wireMemo) get(id wireID) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.get(id)
-}
-
-func (m *wireMemo) put(id wireID, digest string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lru.put(id, digest)
 }

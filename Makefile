@@ -18,7 +18,7 @@ BENCH_FLAGS = -table 6 -quick -stream-bench -index-bench -eval-bench
 # results); `make clean-data` wipes it.
 DATA_DIR ?= gecco-data
 
-.PHONY: build test race vet lint staticcheck fmt-check fuzz bench bench-check serve examples clean-data all
+.PHONY: build test race vet lint staticcheck fmt-check fuzz bench bench-once bench-check serve examples clean-data all
 
 all: build vet lint fmt-check test
 
@@ -87,6 +87,12 @@ bench-check:
 # Quick Table VI smoke run plus the timed sections and their two floors.
 bench:
 	$(GO) run ./cmd/gecco-bench $(BENCH_FLAGS)
+
+# Every `go test` benchmark of the root module, one iteration each: a
+# benchmark that checks its own work (b.Fatal) then fails the run instead
+# of only compiling. It times nothing.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Build and smoke-run every example program, so example drift fails CI
 # instead of rotting silently.

@@ -94,7 +94,7 @@ func (c *lru[K, V]) clear() {
 }
 
 // memo is an lru behind a mutex of its own, for an owner that keeps
-// nothing beside its entries: the wire memo and the log memo.
+// nothing beside its entries: the wire memo.
 type memo[K comparable, V any] struct {
 	mu  sync.Mutex
 	lru *lru[K, V]

@@ -128,7 +128,7 @@ func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
 	if svc != nil {
 		rt.local = Handler(svc)
 	} else {
-		rt.logs = newLogMemo()
+		rt.logs = newLogMemo(wireMemoCapacity)
 	}
 	for i, id := range opts.MemberIDs {
 		rt.addrByID[id] = strings.TrimSuffix(opts.Peers[i], "/")
@@ -191,10 +191,11 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // routeByLog keys /abstract and /pipeline by the uploaded log's content: the
 // same text every per-log artifact (session, index, memo, result cache
 // entry) is digested by, so the owner of the key owns the artifacts. The
-// body must be read up front to extract the key; it is replayed into the
-// local handler or the forwarded request. The key is the SHA-256 of the log
-// text, so a JSON envelope and the raw body of the same log land on the
-// same shard; the upload path computes the same hash for the wire memo.
+// body must be read up front to extract the key; the local handler gets
+// the same buffer, and a forwarded request replays it. The key is the
+// SHA-256 of the log text, so a JSON envelope and the raw body of the same
+// log land on the same shard; the upload path computes the same hash for
+// the wire memo.
 // A router that serves the key locally shares its service's log memo, so
 // the handler finds the log string this scan validated.
 func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
@@ -335,17 +336,16 @@ func (rt *Router) markDown(member string) {
 	rt.downMu.Unlock()
 }
 
-// serveLocal dispatches to the wrapped service's own mux, replaying a
-// consumed body when one was read for key extraction.
+// serveLocal dispatches to the wrapped service's own mux. A body read for
+// key extraction goes along with the request, and the handler's readBody
+// returns it instead of reading a copy.
 func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 	if rt.local == nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("coordinator has no local service for %s", r.URL.Path))
 		return
 	}
 	if body != nil {
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
+		r = withBody(r, body)
 	}
 	rt.local.ServeHTTP(w, r)
 }

@@ -446,7 +446,7 @@ func New(opts Options) *Service {
 		store:      store,
 		pipe:       pipe,
 		wire:       newWireMemo(),
-		logs:       newLogMemo(),
+		logs:       newLogMemo(wireMemoCapacity),
 		sem:        make(chan struct{}, opts.MaxConcurrent),
 		baseCtx:    ctx,
 		baseCancel: cancel,

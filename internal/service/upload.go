@@ -1,22 +1,28 @@
 // Upload decoding: the one body path of /abstract, /pipeline and the
-// router. A body is read once, capped at maxBodyBytes, into a buffer that
-// grows as bytes arrive and ends at its Content-Length. A raw body is the
-// log itself. A JSON envelope is scanned for its one top-level "log"
-// string. The first time a node sees that string, it is validated and
-// unescaped exactly as encoding/json does, a word at a time, while the
-// decoded bytes stream into one SHA-256; the node's log memo then maps the
-// SHA-256 of the string's escaped bytes to that digest and length, so the
-// same string sent again costs a scan for its closing quote and a SHA-256
-// of its escaped bytes. The rest of the envelope, with the log blanked to
-// "", goes through encoding/json. Any body the scanner does not take goes
-// whole through encoding/json, so requests and error texts are those of
-// json.Unmarshal. The digest of the decoded text keys the wire memo and
-// places the upload on the ring; the decoded text itself is materialised
-// only when the log must be parsed.
+// router. A body is read once per node, capped at maxBodyBytes, into a
+// buffer that grows as bytes arrive and ends at its Content-Length; a
+// router that serves a body itself hands its handler the buffer it read. A
+// raw body is the log itself. A JSON envelope is scanned for its one
+// top-level "log" string. The first time a node sees that string, it is
+// validated and unescaped exactly as encoding/json does, a word at a time,
+// while the decoded bytes stream into one SHA-256; the node's log memo
+// then keeps that digest and length under the length of the string's
+// escaped bytes and a keyed GHASH tag of them, so the same string sent
+// again costs one tag of its escaped bytes and is neither unescaped nor
+// scanned for its closing quote. The rest of the envelope, with the log
+// blanked to "", goes through encoding/json. Any body the scanner does not
+// take goes whole through encoding/json, so requests and error texts are
+// those of json.Unmarshal. The digest of the decoded text keys the wire
+// memo and places the upload on the ring; the decoded text itself is
+// materialised only when the log must be parsed.
 package service
 
 import (
 	"bytes"
+	"context"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -24,6 +30,7 @@ import (
 	"io"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,22 +46,35 @@ const maxBodyBytes = 64 << 20
 // bytes; a variable so that a test can lower it.
 var bodyStallTimeout = 30 * time.Second
 
-// readBody reads a request body, capped at maxBodyBytes. The server has no
+// readBody reads a request body, capped at maxBodyBytes; a body the router
+// already read (withBody) comes back as it is. The server has no
 // ReadTimeout, as /stream bodies are unbounded, so every read here renews a
 // read deadline instead: a client that stops sending for bodyStallTimeout
 // fails the read rather than hold its connection for ever. A writer that
 // cannot set deadlines (http.ErrNotSupported) reads without one.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if body, ok := r.Context().Value(bodyKey{}).([]byte); ok {
+		return body, nil
+	}
 	rc := http.NewResponseController(w)
 	body, err := readCapped(stallReader{r.Body, rc}, r.ContentLength, maxBodyBytes)
 	if err == nil {
 		// net/http clears the deadline at the EOF of its own body but not
-		// of one the router replays, and a deadline left behind would
+		// of a body put in its place, and a deadline left behind would
 		// cancel the request. After an error it stays, so that net/http's
 		// drain of the unread body cannot stall.
 		rc.SetReadDeadline(time.Time{})
 	}
 	return body, err
+}
+
+// bodyKey is the request-context key of a body the router already read.
+type bodyKey struct{}
+
+// withBody returns r carrying body, which readBody then returns instead of
+// reading r.Body.
+func withBody(r *http.Request, body []byte) *http.Request {
+	return r.WithContext(context.WithValue(r.Context(), bodyKey{}, body))
 }
 
 // stallReader renews the connection's read deadline before every read.
@@ -260,9 +280,9 @@ func (s *Service) decodeEnvelope(body []byte, env any, log *string) (*logText, e
 // logKey is the envelope member scanEnvelope looks for.
 var logKey = []byte("log")
 
-// scanEnvelope finds a JSON object's top-level "log" member and, in one
-// pass over the log's bytes, validates and hashes its string value. It
-// returns the log and the bounds [start, end) of the string's contents in
+// scanEnvelope finds a JSON object's top-level "log" member and finds its
+// string value in the log memo or, in one pass over its bytes, validates
+// and hashes it. It returns the log and the bounds [start, end) of the string's contents in
 // body. text is nil for a body the scanner does not take, which must then
 // be decoded whole by encoding/json: a body that is not an object, a "log"
 // key that is escaped, differs in case or repeats (encoding/json matches
@@ -322,66 +342,151 @@ func scanEnvelope(body []byte, logs *logMemo) (text *logText, start, end int) {
 }
 
 // logSum is what a log memo keeps of an envelope log string that
-// validated: the SHA-256 and length of its decoded text.
+// validated: the SHA-256 and length of its decoded text, and the length of
+// its escaped bytes, the length its key holds.
 type logSum struct {
-	sum [sha256.Size]byte
-	n   int
+	sum     [sha256.Size]byte
+	n       int
+	escaped int
 }
 
-// logMemo maps the SHA-256 of an envelope log string's escaped bytes to
-// its logSum. A node keeps one, which its router and its handlers share.
-// Only strings that validated enter it, and equal digests mean equal
-// bytes, so a hit is a string encoding/json accepts, closing where it
-// closed before. No digest comes from another node: each hashes the bytes
-// it received.
-type logMemo = memo[[sha256.Size]byte, logSum]
+// logID keys a log memo's entry: the length of a log string's escaped
+// bytes and their keyed GHASH tag.
+type logID struct {
+	n   int
+	tag [16]byte
+}
 
-func newLogMemo() *logMemo {
-	return newMemo[[sha256.Size]byte, logSum](wireMemoCapacity)
+// logMemo maps the escaped bytes of an envelope log string that validated
+// to its logSum. A node keeps one, which its router and its handlers
+// share.
+//
+// An entry's key is the length of the escaped bytes and a GHASH tag of
+// them: GCM's tag of an empty plaintext at a fixed nonce with the bytes as
+// additional data, under an AES key each memo draws from crypto/rand.
+// GHASH is a keyed almost-universal hash, so two distinct strings of l
+// 16-byte blocks share a tag with probability at most (l+1)/2^128, and
+// neither the key nor a tag leaves the process. No digest comes from
+// another node either: each tags the bytes it received.
+//
+// A lookup needs no scan for the closing quote. In the escaped bytes of a
+// string encoding/json accepts, every '"' follows an odd run of
+// backslashes, so of the lengths the memo holds only the smallest L at
+// which body[i+L] is a '"' after an even run can be the length of a held
+// string that body[i:] starts with, and one tag of body[i:i+L] and one
+// lookup decide. A hit is thus a string encoding/json accepts, closing
+// where it closed before. Where cipher.NewGCM refuses, as under
+// GODEBUG=fips140=only, the memo holds nothing: every envelope is then a
+// first sight, unescaped in full, which is slower but decodes the same.
+type logMemo struct {
+	gcm cipher.AEAD // nil in a memo that holds nothing
+	mu  sync.Mutex
+	lru *lru[logID, logSum]
+	// count maps each escaped length the memo holds to its number of
+	// entries, and lens lists those lengths in ascending order. lens is
+	// replaced, never written in place, so a lookup walks it unlocked.
+	count map[int]int
+	lens  []int
+}
+
+// logNonce is the fixed nonce of a log memo's tags.
+var logNonce [12]byte
+
+// newLogMemo returns a log memo of up to capacity strings.
+func newLogMemo(capacity int) *logMemo {
+	m := &logMemo{count: make(map[int]int)}
+	m.lru = newLRU[logID](capacity, m.evicted)
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err == nil {
+		block, _ := aes.NewCipher(key[:]) // a 16-byte key is always valid
+		m.gcm, _ = cipher.NewGCM(block)   // refused under fips140=only
+	}
+	return m
+}
+
+// tag returns the memo's GHASH tag of s.
+func (m *logMemo) tag(s []byte) (t [16]byte) {
+	m.gcm.Seal(t[:0], logNonce[:], nil, s)
+	return t
+}
+
+// get returns the entry of the string whose contents start at body[i], and
+// the position of its closing quote, when the memo holds that string.
+func (m *logMemo) get(body []byte, i int) (s logSum, end int, ok bool) {
+	if m.gcm == nil {
+		return logSum{}, 0, false
+	}
+	m.mu.Lock()
+	lens := m.lens
+	m.mu.Unlock()
+	for _, n := range lens {
+		end = i + n
+		if end >= len(body) {
+			break
+		}
+		if body[end] == '"' && closes(body, i, end) {
+			id := logID{n, m.tag(body[i:end])}
+			m.mu.Lock()
+			s, ok = m.lru.get(id)
+			m.mu.Unlock()
+			return s, end, ok
+		}
+	}
+	return logSum{}, 0, false
+}
+
+// put enters a string that validated, whose escaped bytes are src.
+func (m *logMemo) put(src []byte, s logSum) {
+	if m.gcm == nil {
+		return
+	}
+	id := logID{len(src), m.tag(src)}
+	s.escaped = id.n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.lru.peek(id); !ok {
+		if m.count[id.n]++; m.count[id.n] == 1 {
+			k, _ := slices.BinarySearch(m.lens, id.n)
+			m.lens = slices.Concat(m.lens[:k], []int{id.n}, m.lens[k:])
+		}
+	}
+	m.lru.put(id, s)
+}
+
+// evicted drops an entry that put evicted from the length counts.
+func (m *logMemo) evicted(s logSum) {
+	if m.count[s.escaped]--; m.count[s.escaped] == 0 {
+		delete(m.count, s.escaped)
+		k, _ := slices.BinarySearch(m.lens, s.escaped)
+		m.lens = slices.Concat(m.lens[:k], m.lens[k+1:])
+	}
 }
 
 // hashString validates the JSON string whose contents start at body[i]. It
 // returns the string's text and the position of its closing quote, or nil
-// for a string encoding/json would reject. A string the memo knows is not
-// unescaped; any other is decoded in full and, when it validates, enters
-// the memo.
+// for a string encoding/json would reject. A string the memo holds is
+// neither unescaped nor scanned for its closing quote; any other is
+// decoded in full and, when it validates, enters the memo.
 func hashString(body []byte, i int, logs *logMemo) (*logText, int) {
-	end := stringEnd(body, i)
-	if end < 0 {
-		return nil, 0
-	}
-	key := sha256.Sum256(body[i:end])
-	if s, ok := logs.get(key); ok {
+	if s, end, ok := logs.get(body, i); ok {
 		return &logText{src: body[i:end], escaped: true, n: s.n, sum: s.sum, summed: true}, end
 	}
 	text, end := decodeString(body, i)
 	if text != nil {
 		text.decoded = true
-		logs.put(key, logSum{sum: text.sum, n: text.n})
+		logs.put(text.src, logSum{sum: text.sum, n: text.n})
 	}
 	return text, end
 }
 
-// stringEnd returns the position of the first '"' at or after b[i] that
-// no odd run of backslashes escapes, or -1 when there is none. For the
-// contents of a string encoding/json accepts, that is its closing quote;
-// a string without one is unterminated.
-func stringEnd(b []byte, i int) int {
-	for start := i; ; {
-		q := bytes.IndexByte(b[i:], '"')
-		if q < 0 {
-			return -1
-		}
-		q += i
-		j := q
-		for j > start && b[j-1] == '\\' {
-			j--
-		}
-		if (q-j)%2 == 0 {
-			return q
-		}
-		i = q + 1
+// closes reports whether the '"' at b[q] would close a string whose
+// contents start at b[start]: no odd run of backslashes escapes it.
+func closes(b []byte, start, q int) bool {
+	j := q
+	for j > start && b[j-1] == '\\' {
+		j--
 	}
+	return (q-j)%2 == 0
 }
 
 // hashChunk is how many decoded bytes decodeString hands SHA-256 at a

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,7 @@ func envelopeCases(t testing.TB) []envelopeCase {
 		{"procgen abstract envelope", marshal(AbstractRequest{Log: small, Constraints: "distinct(role) <= 1", Mode: "dfg"}), true},
 		{"procgen pipeline envelope", marshal(PipelineHTTPRequest{Log: small, Stages: []pipeline.StageSpec{{Stage: "abstract"}, {Stage: "discover"}}, IncludeAbstracted: true}), true},
 		{"log longer than a hash chunk", marshal(AbstractRequest{Log: long, Format: "csv"}), true},
+		{"log ending in 200 escaped backslashes", `{"log":"end` + strings.Repeat(`\\`, 200) + `"}`, true},
 		{"capitalised key", `{"Log":"<log/>","constraints":"c"}`, false},
 		{"upper-case key", `{"LOG":"<log/>"}`, false},
 		{"escaped key", `{"\u006cog":"<log/>","mode":"exh"}`, false},
@@ -137,7 +139,7 @@ var testRing = shard.New([]string{"shard-0", "shard-1", "shard-2"}, 0)
 // unescapes the log string, the second finds it in the memo.
 func checkEnvelope(t *testing.T, body []byte) {
 	t.Helper()
-	checkEnvelopeMemo(t, body, newLogMemo)
+	checkEnvelopeMemo(t, body, func() *logMemo { return newLogMemo(wireMemoCapacity) })
 }
 
 // checkEnvelopeMemo is checkEnvelope with each envelope type's log memo
@@ -156,12 +158,14 @@ type routerEnvelope struct {
 }
 
 // checkDecode decodes body into E twice through logs and holds each decode
-// to json.Unmarshal; the second never unescapes the log again.
+// to json.Unmarshal; the second never unescapes the log again, unless logs
+// is a memo that holds nothing, where it unescapes whatever the first did.
 func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E) (log *string, format string)) {
 	t.Helper()
 	var want E
 	werr := json.Unmarshal(body, &want)
 	wantLog, wantFormat := fields(&want)
+	var first bool // the first decode unescaped the log string
 	for pass := 1; pass <= 2; pass++ {
 		var got E
 		gotLog, _ := fields(&got)
@@ -175,8 +179,10 @@ func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E
 			}
 			continue
 		}
-		if pass == 2 && text.decoded {
-			t.Fatalf("%T: the second decode unescaped the log string again", got)
+		if pass == 1 {
+			first = text.decoded
+		} else if again := first && logs.gcm == nil; text.decoded != again {
+			t.Fatalf("%T: the second decode unescaped the log string: %v, want %v", got, text.decoded, again)
 		}
 		if *gotLog != "" {
 			t.Fatalf("%T, decode %d: Log field holds %q; the log belongs to the logText", got, pass, *gotLog)
@@ -217,7 +223,7 @@ func TestDecodeEnvelopeMatchesJSON(t *testing.T) {
 // this test notices a scanner that gives up on ordinary envelopes.
 func TestScannerTakesPlainEnvelopes(t *testing.T) {
 	for _, tc := range envelopeCases(t) {
-		logs := newLogMemo()
+		logs := newLogMemo(wireMemoCapacity)
 		for pass := 1; pass <= 2; pass++ {
 			if text, _, _ := scanEnvelope([]byte(tc.body), logs); (text != nil) != tc.taken {
 				t.Errorf("%s, scan %d: scanner took the body: %v, want %v", tc.name, pass, text != nil, tc.taken)
@@ -243,7 +249,7 @@ func TestLogMemoHitNeedsTheWholeString(t *testing.T) {
 	}
 	contents := string(quoted[1 : len(quoted)-1])
 	primed := func() *logMemo {
-		logs := newLogMemo()
+		logs := newLogMemo(wireMemoCapacity)
 		var env routerEnvelope
 		text, err := decodeEnvelope([]byte(`{"log":`+string(quoted)+`}`), &env, &env.Log, logs)
 		if err != nil || !text.decoded {
@@ -258,15 +264,58 @@ func TestLogMemoHitNeedsTheWholeString(t *testing.T) {
 		{"malformed rest", `{"log":"` + contents + `","mode":}`},
 		{"type error in the rest", `{"log":"` + contents + `","beamWidth":"wide"}`},
 		{"prefix of a longer string", `{"log":"` + contents + `<x/>"}`},
+		{"one byte changed", `{"log":"` + strings.Replace(contents, "concept:name", "concept:nAme", 1) + `"}`},
 	} {
 		t.Run(seedName(tc.name), func(t *testing.T) { checkEnvelopeMemo(t, []byte(tc.body), primed) })
+	}
+}
+
+// TestLogMemoShorterHeldLength: a memo that holds a short string whose
+// length lands on an escaped quote inside a longer held string still finds
+// the longer one, whether one backslash escapes that quote or a run longer
+// than a machine word does: checkDecode's second decode must not unescape.
+func TestLogMemoShorterHeldLength(t *testing.T) {
+	for _, run := range []int{1, 101} {
+		// The quote of `\"` follows run backslashes at contents[1+run].
+		long := "x" + strings.Repeat(`\\`, run/2) + `\"` + " and more"
+		short := strings.Repeat("a", 1+run)
+		primed := func() *logMemo {
+			logs := newLogMemo(wireMemoCapacity)
+			for _, s := range []string{short, long} {
+				var env routerEnvelope
+				text, err := decodeEnvelope([]byte(`{"log":"`+s+`"}`), &env, &env.Log, logs)
+				if err != nil || !text.decoded {
+					t.Fatalf("priming the memo with %q: decoded %v, err %v", s, text != nil && text.decoded, err)
+				}
+			}
+			return logs
+		}
+		t.Run(fmt.Sprint("run-", run), func(t *testing.T) {
+			checkEnvelopeMemo(t, []byte(`{"log":"`+long+`","mode":"dfg"}`), primed)
+		})
+	}
+}
+
+// TestLogMemoWithoutGCM: where cipher.NewGCM refuses, as under
+// GODEBUG=fips140=only, the log memo holds nothing, and every envelope is
+// unescaped in full on every decode and still decodes as json.Unmarshal
+// decodes it.
+func TestLogMemoWithoutGCM(t *testing.T) {
+	refused := func() *logMemo {
+		logs := newLogMemo(wireMemoCapacity)
+		logs.gcm = nil
+		return logs
+	}
+	for _, tc := range envelopeCases(t) {
+		t.Run(seedName(tc.name), func(t *testing.T) { checkEnvelopeMemo(t, []byte(tc.body), refused) })
 	}
 }
 
 // TestLogMemoConcurrent decodes repeated and distinct log strings from
 // several goroutines through one small shared memo, so that hits, misses
 // and evictions interleave, and checks every decode against json.Unmarshal
-// only after all of them are done.
+// only after all of them are done, and the memo's length counts against
+// the entries it holds.
 func TestLogMemoConcurrent(t *testing.T) {
 	const workers, rounds = 6, 40
 	var bodies [][]byte
@@ -279,7 +328,7 @@ func TestLogMemoConcurrent(t *testing.T) {
 		}
 		bodies, want = append(bodies, body), append(want, log)
 	}
-	logs := newMemo[[sha256.Size]byte, logSum](4)
+	logs := newLogMemo(4)
 	type result struct {
 		body int
 		text *logText
@@ -309,6 +358,17 @@ func TestLogMemoConcurrent(t *testing.T) {
 				t.Fatalf("body %d decoded to another text, digest or length", r.body)
 			}
 		}
+	}
+	live := map[int]int{}
+	var lens []int
+	logs.lru.each(func(s logSum) {
+		if live[s.escaped]++; live[s.escaped] == 1 {
+			lens = append(lens, s.escaped)
+		}
+	})
+	slices.Sort(lens)
+	if logs.lru.len() != 4 || !reflect.DeepEqual(logs.count, live) || !slices.Equal(logs.lens, lens) {
+		t.Fatalf("%d entries of escaped lengths %v; the memo counts %v, lengths %v", logs.lru.len(), live, logs.count, logs.lens)
 	}
 }
 
@@ -590,55 +650,74 @@ func BenchmarkReadCapped(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeEnvelope decodes a 200-trace loan log's envelope and
-// derives its wire key: the upload path against json.Unmarshal plus
-// wireKey, the decode it replaced. hit decodes through a warm log memo, as
-// a node does with a log it has seen, and miss through a fresh memo per
-// op, as with a first sight; miss is the one measure of that path, as no
-// workload of the benchmark sends a first-sight envelope once it is
-// measuring. scan is the part of a miss that unescapes and hashes the log
-// string, without the memo's quote scan and SHA-256 of the escaped bytes.
+// BenchmarkDecodeEnvelope decodes the envelope of a 50-trace loan log, the
+// size the benchmark's repeat-hot and pipeline-tail workloads send, and of
+// a 200-trace one (1.5 MB), and derives its wire key: the upload path
+// against json.Unmarshal plus wireKey, the decode it replaced. hit decodes
+// through a warm log memo, as a node does with a log it has seen, and fails
+// if a decode unescapes the log string; miss decodes through a fresh memo
+// per op, as with a first sight. miss is the one measure of that path, as
+// no workload of the benchmark sends a first-sight envelope once it is
+// measuring. scan is the part of a miss that validates, unescapes and
+// hashes the log string, without the memo's lookup and tag.
 func BenchmarkDecodeEnvelope(b *testing.B) {
-	body, err := json.Marshal(AbstractRequest{Log: xesText(b, procgen.LoanLog(200, 1)), Constraints: "distinct(role) <= 3"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	decode := func(b *testing.B, logs func() *logMemo) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	for _, traces := range []int{50, 200} {
+		body, err := json.Marshal(AbstractRequest{Log: xesText(b, procgen.LoanLog(traces, 1)), Constraints: "distinct(role) <= 3"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		decode := func(b *testing.B, logs *logMemo) *logText {
 			var env AbstractRequest
-			text, err := decodeEnvelope(body, &env, &env.Log, logs())
+			text, err := decodeEnvelope(body, &env, &env.Log, logs)
 			if err != nil {
 				b.Fatal(err)
 			}
 			_ = wireID{format: "xes", sum: text.digest()}
+			return text
 		}
+		b.Run(fmt.Sprint("loan-", traces), func(b *testing.B) {
+			b.Run("hit", func(b *testing.B) {
+				warm := newLogMemo(wireMemoCapacity)
+				decode(b, warm)
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if decode(b, warm).decoded {
+						b.Fatal("a decode through a warm memo unescaped the log string")
+					}
+				}
+			})
+			b.Run("miss", func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					decode(b, newLogMemo(wireMemoCapacity))
+				}
+			})
+			b.Run("scan", func(b *testing.B) {
+				_, start, _ := scanEnvelope(body, newLogMemo(wireMemoCapacity))
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if text, _ := decodeString(body, start); text == nil {
+						b.Fatal("the log string did not validate")
+					}
+				}
+			})
+			b.Run("unmarshal", func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var env AbstractRequest
+					if err := json.Unmarshal(body, &env); err != nil {
+						b.Fatal(err)
+					}
+					_ = wireKey("xes", env.Log)
+				}
+			})
+		})
 	}
-	warm := newLogMemo()
-	b.Run("hit", func(b *testing.B) { decode(b, func() *logMemo { return warm }) })
-	b.Run("miss", func(b *testing.B) { decode(b, newLogMemo) })
-	b.Run("scan", func(b *testing.B) {
-		_, start, _ := scanEnvelope(body, newLogMemo())
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if text, _ := decodeString(body, start); text == nil {
-				b.Fatal("the log string did not validate")
-			}
-		}
-	})
-	b.Run("unmarshal", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var env AbstractRequest
-			if err := json.Unmarshal(body, &env); err != nil {
-				b.Fatal(err)
-			}
-			_ = wireKey("xes", env.Log)
-		}
-	})
 }
 
 // lowerStallTimeout sets bodyStallTimeout for one test. It must run before
@@ -687,10 +766,10 @@ func TestStalledBodyTimesOut(t *testing.T) {
 	}
 }
 
-// TestReadBodyLeavesNoDeadline: the router replays a buffered body into the
-// local handler, which reads it through readBody again, past net/http's
-// own clearing of the deadline. A deadline left on the connection would
-// cancel the request once it passed, in the middle of the solve.
+// TestReadBodyLeavesNoDeadline: a body put in place of net/http's own is
+// read through readBody past net/http's own clearing of the deadline. A
+// deadline left on the connection would cancel the request once it
+// passed, in the middle of the solve.
 func TestReadBodyLeavesNoDeadline(t *testing.T) {
 	lowerStallTimeout(t, 50*time.Millisecond)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -15,8 +15,8 @@ import "crypto/sha256"
 
 // wireMemoCapacity bounds the memo, and the log memo too. A wire-memo
 // entry is a wire identity and a hex digest (~150 bytes), a log-memo entry
-// two SHA-256s and a length (~100 bytes), so each covers any realistic hot
-// set in at most about 150 KiB.
+// a tag, a SHA-256 and three lengths (~100 bytes), so each covers any
+// realistic hot set in at most about 150 KiB.
 const wireMemoCapacity = 1024
 
 // wireMemo maps an upload's wire identity to its canonical log digest.

@@ -175,7 +175,7 @@ func BenchmarkParallelCandidates(b *testing.B) {
 		var out []candidates.Result
 		for _, p := range problems {
 			ev := constraints.NewEvaluator(p.x, p.set, instances.SplitOnRepeat)
-			out = append(out, candidates.Exhaustive(p.x, ev, budget, workers))
+			out = append(out, candidates.ExhaustiveCtx(context.Background(), p.x, ev, budget, workers))
 		}
 		return out
 	}
@@ -208,21 +208,21 @@ func BenchmarkStep2MIPShare(b *testing.B) {
 	x := eventlog.NewIndex(log)
 	ev := constraints.NewEvaluator(x, set, instances.SplitOnRepeat)
 	dc := distance.NewCalc(x, instances.SplitOnRepeat)
-	cr := candidates.Exhaustive(x, ev, candidates.Budget{MaxChecks: 4000}, 1)
+	cr := candidates.ExhaustiveCtx(context.Background(), x, ev, candidates.Budget{MaxChecks: 4000}, 1)
 	prob := &cover.Problem{NumClasses: x.NumClasses(), Candidates: cr.Groups, MaxGroups: -1}
 	for _, g := range cr.Groups {
 		prob.Costs = append(prob.Costs, dc.Group(g))
 	}
 	b.Run("SolverBB", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if r := cover.SolveBB(prob); !r.Feasible {
+			if r := cover.SolveBBCtx(context.Background(), prob); !r.Feasible {
 				b.Fatal("infeasible")
 			}
 		}
 	})
 	b.Run("SolverMIP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if r, st := cover.SolveMIP(prob); !r.Feasible || st != mip.Optimal {
+			if r, st := cover.SolveMIPCtx(context.Background(), prob); !r.Feasible || st != mip.Optimal {
 				b.Fatal("infeasible")
 			}
 		}

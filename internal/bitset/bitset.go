@@ -147,11 +147,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ t (subset and not equal).
-func (s Set) ProperSubsetOf(t Set) bool {
-	return s.SubsetOf(t) && !s.Equal(t)
-}
-
 // Intersects reports whether s and t share at least one element.
 func (s Set) Intersects(t Set) bool {
 	n := min(len(s.words), len(t.words))
@@ -183,18 +178,6 @@ func (s Set) Intersect(t Set) Set {
 	w := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		w[i] = s.words[i] & t.words[i]
-	}
-	return Set{words: w}
-}
-
-// Diff returns a new set s \ t.
-func (s Set) Diff(t Set) Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	for i := range t.words {
-		if i < len(w) {
-			w[i] &^= t.words[i]
-		}
 	}
 	return Set{words: w}
 }
@@ -247,18 +230,6 @@ func (s Set) AndCount(t Set) int {
 	return c
 }
 
-// IntersectsAny reports whether s shares an element with any of the given
-// sets. It exists for screens that ask "does this group touch any of these
-// partitions?" without a per-set function call in the caller.
-func (s Set) IntersectsAny(ts ...Set) bool {
-	for _, t := range ts {
-		if s.Intersects(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // AndInto replaces s with s ∩ t in place and reports whether the result is
 // non-empty. s must own its backing words (e.g. a Clone or a reused
 // scratch); words of s beyond t's length are cleared.
@@ -284,33 +255,10 @@ func (s Set) OrInto(t Set) {
 	}
 }
 
-// CopyFrom overwrites s with the contents of t, truncating or zero-filling
-// as needed. s must have capacity for every element of t and must own its
-// backing words; it is the reset step for reused scratch sets.
-func (s Set) CopyFrom(t Set) {
-	n := min(len(s.words), len(t.words))
-	copy(s.words[:n], t.words[:n])
-	for i := n; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
 // Clear removes all elements in place.
 func (s Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
-	}
-}
-
-// ForEachWord calls fn(i, w) for every non-zero backing word, where word i
-// covers elements [64i, 64i+64). It is the word-granular iterator that lets
-// callers fuse a mask combination with a scan over a second structure
-// (e.g. class-mask AND presence-mask, then decode only the surviving bits).
-func (s Set) ForEachWord(fn func(i int, w uint64)) {
-	for i, w := range s.words {
-		if w != 0 {
-			fn(i, w)
-		}
 	}
 }
 

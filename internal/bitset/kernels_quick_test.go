@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 )
 
-// The word-parallel kernels (AndCount, AndInto, OrInto, CopyFrom,
-// IntersectsAny, ForEachWord, ForEachAnd) back the solver's screening and
-// lower-bound machinery; each is checked here against the naive
-// element-by-element definition on random sets, including mismatched
-// capacities (t shorter or longer than s).
+// The word-parallel kernels (AndCount, Intersects, AndInto, OrInto,
+// ForEachAnd) back the solver's screening and lower-bound machinery; each
+// is checked here against the naive element-by-element definition on
+// random sets, including mismatched capacities (t shorter or longer than
+// s).
 
 // fromElems builds a set over universe n from arbitrary element seeds.
 func fromElems(n int, elems []uint16) Set {
@@ -54,13 +54,9 @@ func TestKernelsQuick(t *testing.T) {
 			return false
 		}
 
-		// IntersectsAny == any pairwise Intersects.
-		if a.IntersectsAny(b, c) != (a.Intersects(b) || a.Intersects(c)) {
-			t.Error("IntersectsAny mismatch")
-			return false
-		}
-		if a.IntersectsAny() {
-			t.Error("IntersectsAny() with no sets must be false")
+		// Intersects == a ∩ b is non-empty.
+		if a.Intersects(b) != (len(inter) > 0) || b.Intersects(a) != (len(inter) > 0) {
+			t.Errorf("Intersects mismatch: got %v/%v, want %v", a.Intersects(b), b.Intersects(a), len(inter) > 0)
 			return false
 		}
 
@@ -84,17 +80,11 @@ func TestKernelsQuick(t *testing.T) {
 			}
 		}
 
-		// ForEachWord reconstructs the set.
+		// ForEach reconstructs the set.
 		visited = visited[:0]
-		a.ForEachWord(func(i int, w uint64) {
-			for b := 0; b < 64; b++ {
-				if w&(1<<uint(b)) != 0 {
-					visited = append(visited, i*64+b)
-				}
-			}
-		})
+		a.ForEach(func(i int) bool { visited = append(visited, i); return true })
 		if !equalInts(visited, a.Elems()) {
-			t.Errorf("ForEachWord reconstructed %v, want %v", visited, a.Elems())
+			t.Errorf("ForEach reconstructed %v, want %v", visited, a.Elems())
 			return false
 		}
 
@@ -119,18 +109,22 @@ func TestKernelsQuick(t *testing.T) {
 			return false
 		}
 
-		// CopyFrom == source contents, truncated to receiver capacity.
-		cc := c.Clone()
-		cc.CopyFrom(b)
+		// Clone == source contents, in words of its own.
+		cc := b.Clone()
 		if !cc.Equal(b) {
-			t.Errorf("CopyFrom: got %v, want %v", cc, b)
+			t.Errorf("Clone: got %v, want %v", cc, b)
 			return false
 		}
 
-		// Clear empties in place.
+		// Clear empties in place, and leaves the clone's source alone.
+		before := b.Len()
 		cc.Clear()
 		if !cc.IsEmpty() || cc.Len() != 0 {
 			t.Error("Clear left elements behind")
+			return false
+		}
+		if b.Len() != before {
+			t.Error("Clear of a clone changed its source")
 			return false
 		}
 		return true

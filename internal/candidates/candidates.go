@@ -179,20 +179,13 @@ func (s *set) hasSatisfyingSubset(g bitset.Set, universe int) bool {
 	return found
 }
 
-// Exhaustive implements Algorithm 1: iterative enumeration of co-occurring
-// groups of increasing size with monotonicity-based pruning. The frontier of
-// each lattice level is evaluated in parallel across workers (<= 0 means one
-// per CPU); results are merged in frontier order, so the output is identical
-// for any worker count.
-func Exhaustive(x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; ExhaustiveCtx is the cancellable variant
-	return ExhaustiveCtx(context.Background(), x, ev, budget, workers)
-}
-
-// ExhaustiveCtx is Exhaustive under a context: the enumeration stops
+// ExhaustiveCtx implements Algorithm 1: iterative enumeration of
+// co-occurring groups of increasing size with monotonicity-based pruning.
+// The frontier of each lattice level is evaluated in parallel across
+// workers (<= 0 means one per CPU); results are merged in frontier order,
+// so the output is identical for any worker count. The enumeration stops
 // mid-frontier when ctx is cancelled or its deadline passes, returning the
-// candidates found so far with TimedOut set. With a never-cancelled context
-// the result is byte-identical to Exhaustive.
+// candidates found so far with TimedOut set.
 func ExhaustiveCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()
@@ -310,19 +303,13 @@ func appendPathKey(buf []byte, nodes []int) []byte {
 	return buf
 }
 
-// DFGBased implements Algorithm 2: beam search over DFG paths, prioritising
-// paths whose node sets have the lowest distance. A beamWidth k <= 0 means
-// unlimited (the DFG∞ configuration). Path scoring and constraint
-// evaluation of each frontier fan out across workers (<= 0 means one per
-// CPU) with a sequential in-order merge, so the search — including the beam
-// cut — is deterministic for any worker count.
-func DFGBased(x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; DFGBasedCtx is the cancellable variant
-	return DFGBasedCtx(context.Background(), x, ev, dc, g, beamWidth, budget, workers)
-}
-
-// DFGBasedCtx is DFGBased under a context; see ExhaustiveCtx for the
-// cancellation semantics.
+// DFGBasedCtx implements Algorithm 2: beam search over DFG paths,
+// prioritising paths whose node sets have the lowest distance. A beamWidth
+// k <= 0 means unlimited (the DFG∞ configuration). Path scoring and
+// constraint evaluation of each frontier fan out across workers (<= 0
+// means one per CPU) with a sequential in-order merge, so the search —
+// including the beam cut — is deterministic for any worker count. See
+// ExhaustiveCtx for the cancellation semantics.
 func DFGBasedCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()

@@ -208,15 +208,3 @@ func replayVariant(t *replayTallies, m *discovery.Model, seq []uint32, weight in
 		}
 	}
 }
-
-// SelfEvaluate discovers a model from the indexed log (without edge
-// filtering) and evaluates the log against it; fitness is 1.0 by
-// construction, making this a useful invariant check, while precision
-// reflects how much of the model's generalisation the log exercises.
-func SelfEvaluate(ctx context.Context, x *eventlog.Index) (Result, error) {
-	m, err := discovery.Discover(ctx, x, discovery.Options{EdgeFilter: 1, Epsilon: 2})
-	if err != nil {
-		return Result{}, err
-	}
-	return Evaluate(ctx, x, m, Options{})
-}

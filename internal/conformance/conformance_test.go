@@ -13,13 +13,13 @@ import (
 // Test helpers running the ctx/Index API on pointer logs; uncancelled runs
 // cannot fail, so errors fail the test immediately.
 
+// selfEvaluate discovers a model from the log (without edge filtering)
+// and evaluates the log against it; fitness is 1.0 by construction, while
+// precision reflects how much of the model's generalisation the log
+// exercises.
 func selfEvaluate(t *testing.T, log *eventlog.Log) Result {
 	t.Helper()
-	r, err := SelfEvaluate(context.Background(), eventlog.NewIndex(log))
-	if err != nil {
-		t.Fatalf("SelfEvaluate: %v", err)
-	}
-	return r
+	return evaluate(t, log, discover(t, log, discovery.Options{EdgeFilter: 1, Epsilon: 2}))
 }
 
 func evaluate(t *testing.T, log *eventlog.Log, m *discovery.Model) Result {

@@ -63,17 +63,11 @@ type Result struct {
 	UncoveredClasses []int
 }
 
-// SolveBB solves the problem exactly with depth-first branch and bound over
-// classes. Costs must be non-negative (GECCO's distance always is); +Inf
-// costs effectively remove a candidate.
-func SolveBB(p *Problem) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveBBCtx is the cancellable variant
-	return SolveBBCtx(context.Background(), p)
-}
-
-// SolveBBCtx is SolveBB under a context: the search stops — keeping the
-// best incumbent found so far, with Feasible reflecting it — when ctx is
-// cancelled or its deadline passes.
+// SolveBBCtx solves the problem exactly with depth-first branch and bound
+// over classes. Costs must be non-negative (GECCO's distance always is);
+// +Inf costs effectively remove a candidate. The search stops — keeping
+// the best incumbent found so far, with Feasible reflecting it — when ctx
+// is cancelled or its deadline passes.
 func SolveBBCtx(ctx context.Context, p *Problem) Result {
 	nC := p.NumClasses
 	// byClass[c] lists candidates covering class c, cheapest first.
@@ -282,15 +276,10 @@ func greedyCover(p *Problem, byClass [][]int) ([]int, float64, bool) {
 	return sel, cost, true
 }
 
-// SolveMIP solves the problem via the paper's MIP formulation (Eq. 3–5):
-// binary selected_g and covered_c variables with coverage-linking rows.
-func SolveMIP(p *Problem) (Result, mip.Status) {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveMIPCtx is the cancellable variant
-	return SolveMIPCtx(context.Background(), p)
-}
-
-// SolveMIPCtx is SolveMIP under a context; cancellation or an expired
-// deadline aborts the branch-and-bound search (see mip.SolveContext).
+// SolveMIPCtx solves the problem via the paper's MIP formulation (Eq.
+// 3–5): binary selected_g and covered_c variables with coverage-linking
+// rows. Cancellation or an expired deadline aborts the branch-and-bound
+// search (see mip.SolveContext).
 func SolveMIPCtx(ctx context.Context, p *Problem) (Result, mip.Status) {
 	nG := len(p.Candidates)
 	nC := p.NumClasses

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestSimplePartition(t *testing.T) {
 		Costs:      []float64{1, 1, 1, 5},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBBCtx(context.Background(), p)
 	if !r.Feasible || math.Abs(r.Cost-2) > 1e-9 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -42,7 +43,7 @@ func TestInfeasibleUncovered(t *testing.T) {
 		Costs:      []float64{1},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBBCtx(context.Background(), p)
 	if r.Feasible {
 		t.Fatal("expected infeasible")
 	}
@@ -60,7 +61,7 @@ func TestInfeasibleOverlapOnly(t *testing.T) {
 		Costs:      []float64{1, 1},
 		MaxGroups:  -1,
 	}
-	if r := SolveBB(p); r.Feasible {
+	if r := SolveBBCtx(context.Background(), p); r.Feasible {
 		t.Fatal("expected infeasible cover")
 	}
 }
@@ -74,12 +75,12 @@ func TestMaxGroupsBound(t *testing.T) {
 		Costs:      []float64{1, 1, 1, 2.5},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBBCtx(context.Background(), p)
 	if math.Abs(r.Cost-3) > 1e-9 {
 		t.Fatalf("unbounded cost = %f, want 3", r.Cost)
 	}
 	p.MaxGroups = 2
-	r = SolveBB(p)
+	r = SolveBBCtx(context.Background(), p)
 	if !r.Feasible || math.Abs(r.Cost-3.5) > 1e-9 || len(r.Selected) != 2 {
 		t.Fatalf("bounded r = %+v", r)
 	}
@@ -95,7 +96,7 @@ func TestMinGroupsBound(t *testing.T) {
 		MinGroups:  3,
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBBCtx(context.Background(), p)
 	if !r.Feasible || len(r.Selected) != 3 || math.Abs(r.Cost-3) > 1e-9 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -108,7 +109,7 @@ func TestInfiniteCostExcluded(t *testing.T) {
 		Costs:      []float64{math.Inf(1), 1, 1},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBBCtx(context.Background(), p)
 	if !r.Feasible || len(r.Selected) != 2 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -178,8 +179,8 @@ func TestRandomisedCrossValidation(t *testing.T) {
 			p.MinGroups = 1 + rng.Intn(2)
 		}
 		ref, feasible := brute(p)
-		bb := SolveBB(p)
-		mipRes, mipStatus := SolveMIP(p)
+		bb := SolveBBCtx(context.Background(), p)
+		mipRes, mipStatus := SolveMIPCtx(context.Background(), p)
 		if bb.Feasible != feasible {
 			t.Fatalf("trial %d: BB feasible=%v brute=%v", trial, bb.Feasible, feasible)
 		}
@@ -218,12 +219,12 @@ func TestForbiddenSelections(t *testing.T) {
 		Costs:      []float64{1, 0.9, 0.8, 1, 1},
 		MaxGroups:  -1,
 	}
-	first := SolveBB(p)
+	first := SolveBBCtx(context.Background(), p)
 	if !first.Feasible || len(first.Selected) != 1 || first.Selected[0] != 0 {
 		t.Fatalf("first = %+v", first)
 	}
 	p.Forbidden = append(p.Forbidden, first.Selected)
-	second := SolveBB(p)
+	second := SolveBBCtx(context.Background(), p)
 	if !second.Feasible {
 		t.Fatal("second-best should exist")
 	}
@@ -234,13 +235,13 @@ func TestForbiddenSelections(t *testing.T) {
 		t.Fatalf("second cost = %f, want 1.7", second.Cost)
 	}
 	// MIP agrees.
-	mipRes, st := SolveMIP(p)
+	mipRes, st := SolveMIPCtx(context.Background(), p)
 	if st != mip.Optimal || math.Abs(mipRes.Cost-1.7) > 1e-9 {
 		t.Fatalf("MIP second: status %v cost %f", st, mipRes.Cost)
 	}
 	// Forbid that too: only singletons remain (cost 2.8).
 	p.Forbidden = append(p.Forbidden, second.Selected)
-	third := SolveBB(p)
+	third := SolveBBCtx(context.Background(), p)
 	if !third.Feasible || math.Abs(third.Cost-2.8) > 1e-9 {
 		t.Fatalf("third = %+v", third)
 	}
@@ -255,13 +256,13 @@ func TestForbiddenExhaustion(t *testing.T) {
 		MaxGroups:  -1,
 	}
 	for i := 0; i < 2; i++ {
-		r := SolveBB(p)
+		r := SolveBBCtx(context.Background(), p)
 		if !r.Feasible {
 			t.Fatalf("round %d should be feasible", i)
 		}
 		p.Forbidden = append(p.Forbidden, r.Selected)
 	}
-	if r := SolveBB(p); r.Feasible {
+	if r := SolveBBCtx(context.Background(), p); r.Feasible {
 		t.Fatalf("all covers forbidden, got %+v", r)
 	}
 }
@@ -286,7 +287,7 @@ func TestGreedyWarmStartConsistency(t *testing.T) {
 			p.Costs = append(p.Costs, 0.1+rng.Float64())
 		}
 		ref, feasible := brute(p)
-		r := SolveBB(p)
+		r := SolveBBCtx(context.Background(), p)
 		if r.Feasible != feasible {
 			t.Fatalf("trial %d feasibility mismatch", trial)
 		}
@@ -318,11 +319,11 @@ func FuzzSolveCover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProblem(data)
 		ref, feasible := brute(p)
-		bb := SolveBB(p)
+		bb := SolveBBCtx(context.Background(), p)
 		if bb.Feasible != feasible {
 			t.Fatalf("%+v: BB feasible=%v, brute %v", p, bb.Feasible, feasible)
 		}
-		mipRes, mipStatus := SolveMIP(p)
+		mipRes, mipStatus := SolveMIPCtx(context.Background(), p)
 		if !feasible {
 			if mipRes.Feasible {
 				t.Fatalf("%+v: MIP found %v for an infeasible problem", p, mipRes.Selected)

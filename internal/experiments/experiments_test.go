@@ -86,7 +86,11 @@ func TestFrequentPairDeterministic(t *testing.T) {
 
 func TestRunProblemSolvesA(t *testing.T) {
 	logs := smallLogs(t)
-	m := RunProblem(context.Background(), logs[0], SetA, core.Exhaustive, quickOpts(logs))
+	sess, err := core.NewSession(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := RunProblemSession(context.Background(), sess, SetA, core.Exhaustive, quickOpts(logs))
 	if !m.Applicable || !m.Solved {
 		t.Fatalf("A on the 4-class log should solve: %+v", m)
 	}

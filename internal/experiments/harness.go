@@ -84,19 +84,10 @@ func evaluate(ctx context.Context, sess *core.Session, res *core.Result, abstrac
 	return m
 }
 
-// RunProblem solves one abstraction problem (log × set × configuration) and
-// scores it on a fresh session. Table drivers that sweep many sets and
-// configurations over the same log share a session via RunProblemSession
-// instead, which is exactly the workload the session engine exists for.
-func RunProblem(ctx context.Context, log *eventlog.Log, id SetID, mode core.Mode, opts Options) Measures {
-	sess, err := core.NewSession(log)
-	if err != nil {
-		return sessionBuildFailure()
-	}
-	return RunProblemSession(ctx, sess, id, mode, opts)
-}
-
-// RunProblemSession solves one abstraction problem on an existing session.
+// RunProblemSession solves one abstraction problem (log × set ×
+// configuration) on an existing session and scores it. Table drivers that
+// sweep many sets and configurations over the same log share one session,
+// which is exactly the workload the session engine exists for.
 // Seconds measures only the constraint-dependent solve — the interactive
 // cost a warm session pays — mirroring how the serving layer amortises
 // per-log analysis across requests. Cancelling ctx aborts the solve; the

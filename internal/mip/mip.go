@@ -45,7 +45,7 @@ func (s Status) String() string {
 	return [...]string{"optimal", "infeasible", "unbounded", "node-limit", "cancelled"}[s]
 }
 
-// Solution is the result of Solve.
+// Solution is the result of SolveContext.
 type Solution struct {
 	Status Status
 	X      []float64
@@ -67,13 +67,7 @@ func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(*node)) }
 func (q *nodeQueue) Pop() any          { old := *q; n := old[len(old)-1]; *q = old[:len(old)-1]; return n }
 
-// Solve runs branch and bound.
-func Solve(p *Problem) Solution {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveContext is the cancellable variant
-	return SolveContext(context.Background(), p)
-}
-
-// SolveContext is Solve under a context: the context is checked once per
+// SolveContext runs branch and bound. The context is checked once per
 // branch-and-bound node (and inside each LP subsolve), and its cancellation
 // or deadline aborts the search with Status Cancelled while keeping the
 // best incumbent found so far.

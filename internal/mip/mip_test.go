@@ -25,7 +25,7 @@ func TestKnapsack(t *testing.T) {
 		},
 		Integer: []bool{true, true, true},
 	}
-	s := Solve(p)
+	s := SolveContext(context.Background(), p)
 	if s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -49,7 +49,7 @@ func TestIntegerRounding(t *testing.T) {
 		},
 		Integer: []bool{true},
 	}
-	s := Solve(p)
+	s := SolveContext(context.Background(), p)
 	if s.Status != Optimal || s.X[0] != 3 {
 		t.Fatalf("status %v x %v", s.Status, s.X)
 	}
@@ -67,7 +67,7 @@ func TestInfeasibleMIP(t *testing.T) {
 		},
 		Integer: []bool{true},
 	}
-	if s := Solve(p); s.Status != Infeasible {
+	if s := SolveContext(context.Background(), p); s.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", s.Status)
 	}
 }
@@ -85,7 +85,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 		},
 		Integer: []bool{true, false},
 	}
-	s := Solve(p)
+	s := SolveContext(context.Background(), p)
 	// Multiple optima exist (e.g. x=1,y=1.5 and x=2,y=0.5); check the
 	// objective and integrality only.
 	if s.Status != Optimal || !approx(s.Obj, 2.5, 1e-6) || s.X[0] != math.Round(s.X[0]) {
@@ -167,7 +167,7 @@ func TestRandomisedBinaryAgainstBruteForce(t *testing.T) {
 			p.LP.B = append(p.LP.B, math.Round(rng.Float64()*float64(nv)))
 		}
 		ref, _, feasible := bruteBinary(p)
-		s := Solve(p)
+		s := SolveContext(context.Background(), p)
 		if !feasible {
 			if s.Status != Infeasible {
 				t.Fatalf("trial %d: brute infeasible but solver says %v", trial, s.Status)
@@ -230,7 +230,7 @@ func TestSolveContextCancelled(t *testing.T) {
 	}
 	// Live context: identical to the plain solve.
 	got := SolveContext(context.Background(), p)
-	want := Solve(p)
+	want := SolveContext(context.Background(), p)
 	if got.Status != want.Status || got.Obj != want.Obj {
 		t.Fatalf("context solve diverged: %v/%v vs %v/%v", got.Status, got.Obj, want.Status, want.Obj)
 	}

@@ -251,7 +251,7 @@ func loadResult(data []byte) (*JobResult, error) {
 // that fail to decode are removed (the tier is a cache; a bad file costs a
 // recompute, not an error). File order is sorted so which entries survive a
 // smaller-than-disk cache capacity is deterministic.
-func (d *diskStore) loadResults(cache *Cache) {
+func (d *diskStore) loadResults(cache *resultCache) {
 	entries, err := os.ReadDir(filepath.Join(d.dir, "results"))
 	if err != nil {
 		return
@@ -274,7 +274,7 @@ func (d *diskStore) loadResults(cache *Cache) {
 			os.Remove(path)
 			continue
 		}
-		cache.Put(strings.TrimSuffix(name, ".json"), res)
+		cache.put(strings.TrimSuffix(name, ".json"), res)
 		d.resultsLoaded.Add(1)
 	}
 }

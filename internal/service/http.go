@@ -373,17 +373,13 @@ func writeJobSnapshot(w http.ResponseWriter, snap JobSnapshot, formatOverride st
 // body with query-parameter settings (curl-friendly). The log comes back
 // as a logText; the envelope's Log field is left empty.
 func decodeAbstractRequest(s *Service, w http.ResponseWriter, r *http.Request) (*AbstractRequest, *logText, error) {
-	body, err := readBody(w, r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isEnvelope(r) {
-		env := &AbstractRequest{}
-		text, err := s.decodeEnvelope(body, env, &env.Log)
+	env := &AbstractRequest{}
+	text, err := s.readUpload(w, r, env, &env.Log)
+	if err != nil || isEnvelope(r) {
 		return env, text, err
 	}
 	q := r.URL.Query()
-	env := &AbstractRequest{
+	*env = AbstractRequest{
 		Format:          q.Get("format"),
 		Constraints:     q.Get("constraints"),
 		Mode:            q.Get("mode"),
@@ -417,7 +413,7 @@ func decodeAbstractRequest(s *Service, w http.ResponseWriter, r *http.Request) (
 		}
 		*p.dst = n
 	}
-	return env, plainText(body), nil
+	return env, text, nil
 }
 
 // buildRequest parses the envelope into a service request whose Tag is the

@@ -94,14 +94,16 @@ func (c *lru[K, V]) clear() {
 }
 
 // memo is an lru behind a mutex of its own, for an owner that keeps
-// nothing beside its entries: the wire memo.
+// nothing beside its entries: the wire memo and the result cache.
 type memo[K comparable, V any] struct {
 	mu  sync.Mutex
 	lru *lru[K, V]
 }
 
-func newMemo[K comparable, V any](capacity int) *memo[K, V] {
-	return &memo[K, V]{lru: newLRU[K, V](capacity, nil)}
+// newMemo returns a memo of up to capacity entries; onEvict, when set,
+// sees each value put evicts past capacity, under the memo's lock.
+func newMemo[K comparable, V any](capacity int, onEvict func(V)) *memo[K, V] {
+	return &memo[K, V]{lru: newLRU[K](capacity, onEvict)}
 }
 
 func (m *memo[K, V]) get(k K) (V, bool) {
@@ -114,4 +116,10 @@ func (m *memo[K, V]) put(k K, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lru.put(k, v)
+}
+
+func (m *memo[K, V]) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lru.len()
 }

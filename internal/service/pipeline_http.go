@@ -132,13 +132,9 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 // body with the stage list in the stages query parameter (curl-friendly).
 // The log comes back as a logText; the envelope's Log field is left empty.
 func decodePipelineRequest(s *Service, w http.ResponseWriter, r *http.Request) (*PipelineHTTPRequest, *logText, error) {
-	body, err := readBody(w, r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if isEnvelope(r) {
-		env := &PipelineHTTPRequest{}
-		text, err := s.decodeEnvelope(body, env, &env.Log)
+	env := &PipelineHTTPRequest{}
+	text, err := s.readUpload(w, r, env, &env.Log)
+	if err != nil || isEnvelope(r) {
 		return env, text, err
 	}
 	q := r.URL.Query()
@@ -151,7 +147,7 @@ func decodePipelineRequest(s *Service, w http.ResponseWriter, r *http.Request) (
 		Constraints:       q.Get("constraints"),
 		Stages:            specs,
 		IncludeAbstracted: q.Get("includeAbstracted") == "true",
-	}, plainText(body), nil
+	}, text, nil
 }
 
 func buildPipelineResponse(out *pipeline.Result, format string, includeAbstracted bool) (*PipelineResponse, error) {

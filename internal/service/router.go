@@ -94,9 +94,12 @@ type Router struct {
 }
 
 // NewRouter builds a Router for svc (nil = pure coordinator) over the given
-// peer set. An empty peer list with a non-nil svc yields a single-node
-// router that serves everything locally.
+// peer set, which must not be empty: a single node serves Handler(svc)
+// without a router.
 func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
+	if len(opts.Peers) == 0 {
+		return nil, fmt.Errorf("shard: no peers; a single node serves Handler(svc) without a router")
+	}
 	if len(opts.MemberIDs) == 0 {
 		opts.MemberIDs = opts.Peers
 	}
@@ -109,7 +112,7 @@ func NewRouter(svc *Service, opts ShardOptions) (*Router, error) {
 	if svc == nil && opts.Self >= 0 {
 		return nil, fmt.Errorf("shard: self index %d set but no local service", opts.Self)
 	}
-	if svc != nil && opts.Self < 0 && len(opts.Peers) > 0 {
+	if svc != nil && opts.Self < 0 {
 		return nil, fmt.Errorf("shard: local service present but self index unset; use Self: -1 only for pure coordinators")
 	}
 	rt := &Router{
@@ -147,13 +150,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// router thinks the placement is: the sender owns the routing decision,
 	// and honouring it unconditionally makes forwarding loop-free.
 	if r.Header.Get(ForwardHeader) != "" {
-		rt.serveLocal(w, r, nil)
-		return
-	}
-	// A router with no peers is a single-node deployment: everything is
-	// local, no key extraction needed.
-	if rt.ring.Len() == 0 {
-		rt.serveLocal(w, r, nil)
+		rt.serveLocal(w, r)
 		return
 	}
 	path := r.URL.Path
@@ -184,44 +181,44 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/jobs/"):
 		rt.routeJob(w, r)
 	default:
-		rt.serveLocal(w, r, nil)
+		rt.serveLocal(w, r)
 	}
 }
 
 // routeByLog keys /abstract and /pipeline by the uploaded log's content: the
 // same text every per-log artifact (session, index, memo, result cache
 // entry) is digested by, so the owner of the key owns the artifacts. The
-// body must be read up front to extract the key; the local handler gets
-// the same buffer, and a forwarded request replays it. The key is the
-// SHA-256 of the log text, so a JSON envelope and the raw body of the same
-// log land on the same shard; the upload path computes the same hash for
-// the wire memo.
-// A router that serves the key locally shares its service's log memo, so
-// the handler finds the log string this scan validated.
+// body must be read and its log decoded up front to extract the key; the
+// local handler gets the same buffer and the decoded log (withBody), and a
+// forwarded request replays the body. The key is the SHA-256 of the log
+// text, so a JSON envelope and the raw body of the same log land on the
+// same shard; the upload path computes the same hash for the wire memo.
+// A router that serves the key locally decodes through its service's log
+// memo and counts in its service's uploads.decoded.
 func (rt *Router) routeByLog(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var text *logText
+	up := &routedBody{body: body}
 	if isEnvelope(r) {
 		var env struct {
 			Log string `json:"log"`
 		}
 		if rt.svc != nil {
-			text, err = rt.svc.decodeEnvelope(body, &env, &env.Log)
+			up.text, up.rest, err = rt.svc.decodeEnvelope(body, &env, &env.Log)
 		} else {
-			text, err = decodeEnvelope(body, &env, &env.Log, rt.logs)
+			up.text, up.rest, err = decodeEnvelope(body, &env, &env.Log, rt.logs)
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	} else {
-		text = plainText(body)
+		up.text = plainText(body)
 	}
-	rt.route(w, r, shard.HashSum(text.digest()), body)
+	rt.route(w, withBody(r, up), shard.HashSum(up.text.digest()), body)
 }
 
 // routeJob routes job polls and cancels by the shard prefix baked into the
@@ -233,12 +230,12 @@ func (rt *Router) routeJob(w http.ResponseWriter, r *http.Request) {
 	if rest, ok := strings.CutPrefix(id, "s"); ok {
 		if num, _, ok := strings.Cut(rest, "-"); ok {
 			if i, err := strconv.Atoi(num); err == nil && i >= 0 && i < len(rt.opts.MemberIDs) {
-				rt.routeToMember(w, r, rt.opts.MemberIDs[i], nil)
+				rt.routeToMember(w, r, rt.opts.MemberIDs[i])
 				return
 			}
 		}
 	}
-	rt.serveLocal(w, r, nil)
+	rt.serveLocal(w, r)
 }
 
 // routeStreamPost keys named streams by "stream:<name>" so a stream's window
@@ -249,12 +246,12 @@ func (rt *Router) routeJob(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) routeStreamPost(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("stream")
 	if name == "" && rt.svc != nil {
-		rt.serveLocal(w, r, nil)
+		rt.serveLocal(w, r)
 		return
 	}
 	for _, member := range rt.candidates(shard.Hash("stream:" + name)) {
 		if member == rt.selfID && rt.svc != nil {
-			rt.serveLocal(w, r, nil)
+			rt.serveLocal(w, r)
 			return
 		}
 		// The NDJSON body streams and cannot be replayed after a failed
@@ -272,11 +269,12 @@ func (rt *Router) routeStreamPost(w http.ResponseWriter, r *http.Request) {
 
 // route serves the owner of the key at ring position h: locally when this
 // node owns it, else by forwarding down the key's preference order. body
-// replaces the consumed request body (nil when it was not read).
+// replaces the consumed request body in a forward (nil when it was not
+// read).
 func (rt *Router) route(w http.ResponseWriter, r *http.Request, h uint64, body []byte) {
 	for _, member := range rt.candidates(h) {
 		if member == rt.selfID && rt.svc != nil {
-			rt.serveLocal(w, r, body)
+			rt.serveLocal(w, r)
 			return
 		}
 		if rt.forward(w, r, member, body) {
@@ -290,17 +288,17 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, h uint64, body [
 // routeToMember is route for a pre-resolved member (job IDs name their
 // shard directly); an unreachable member falls back to local, where the
 // poll yields a definitive 404 rather than a gateway error.
-func (rt *Router) routeToMember(w http.ResponseWriter, r *http.Request, member string, body []byte) {
+func (rt *Router) routeToMember(w http.ResponseWriter, r *http.Request, member string) {
 	if member == rt.selfID && rt.svc != nil {
-		rt.serveLocal(w, r, body)
+		rt.serveLocal(w, r)
 		return
 	}
-	if rt.forward(w, r, member, body) {
+	if rt.forward(w, r, member, nil) {
 		return
 	}
 	rt.markDown(member)
 	if rt.svc != nil {
-		rt.serveLocal(w, r, body)
+		rt.serveLocal(w, r)
 		return
 	}
 	writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable", member))
@@ -336,16 +334,11 @@ func (rt *Router) markDown(member string) {
 	rt.downMu.Unlock()
 }
 
-// serveLocal dispatches to the wrapped service's own mux. A body read for
-// key extraction goes along with the request, and the handler's readBody
-// returns it instead of reading a copy.
-func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal dispatches to the wrapped service's own mux.
+func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request) {
 	if rt.local == nil {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("coordinator has no local service for %s", r.URL.Path))
 		return
-	}
-	if body != nil {
-		r = withBody(r, body)
 	}
 	rt.local.ServeHTTP(w, r)
 }
@@ -491,11 +484,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, flush bool) {
 // shard's counters — which is also what the fan-out asks peers for.
 func (rt *Router) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("scope") == "local" {
-		rt.serveLocal(w, r, nil)
-		return
-	}
-	if rt.ring.Len() == 0 {
-		rt.serveLocal(w, r, nil)
+		rt.serveLocal(w, r)
 		return
 	}
 	out := ClusterStats{Shards: make(map[string]Stats, rt.ring.Len())}

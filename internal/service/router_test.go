@@ -164,6 +164,45 @@ func TestRouterSharesLogMemo(t *testing.T) {
 	}
 }
 
+// TestRouterDecodesAnUploadOnce: a router that serves an envelope itself
+// hands its handler the log it decoded, so the node unescapes the log
+// string once. The service's log memo holds nothing, as where
+// cipher.NewGCM refuses, so every decode unescapes and uploads.decoded
+// counts each.
+func TestRouterDecodesAnUploadOnce(t *testing.T) {
+	svc := New(Options{})
+	t.Cleanup(svc.Close)
+	svc.logs.gcm = nil
+	rt, err := NewRouter(svc, ShardOptions{Peers: []string{"http://self"}, Self: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logXES := runningExampleXES(t)
+	for _, tc := range []struct {
+		path string
+		env  any
+	}{
+		{"/abstract", AbstractRequest{Log: logXES, Constraints: "distinct(role) <= 1", Mode: "dfg"}},
+		{"/pipeline", PipelineHTTPRequest{Log: logXES, Constraints: "distinct(role) <= 1"}},
+	} {
+		body, err := json.Marshal(tc.env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := svc.Stats().Uploads.Decoded
+		req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body)
+		}
+		if n := svc.Stats().Uploads.Decoded - before; n != 1 {
+			t.Fatalf("%s: uploads.decoded rose by %d, want 1", tc.path, n)
+		}
+	}
+}
+
 // TestRouterHandsItsBodyToTheLocalHandler: a router that serves an upload
 // itself hands its handler the body it read. The handler's readBody
 // returns that buffer and allocates nothing, where reading a replayed copy
@@ -688,6 +727,22 @@ func TestRouterStatsCapped(t *testing.T) {
 		}
 		if cs.Jobs.Started != want {
 			t.Fatalf("%s: merged jobs.started %d, want %d", tc.name, cs.Jobs.Started, want)
+		}
+	}
+}
+
+// TestRouterRefusesNoPeers: a router needs a peer set, with or without a
+// local service; a single node serves Handler(svc) without a router.
+func TestRouterRefusesNoPeers(t *testing.T) {
+	svc := New(Options{})
+	t.Cleanup(svc.Close)
+	for _, tc := range []struct {
+		name string
+		svc  *Service
+	}{{"pure coordinator", nil}, {"local service", svc}} {
+		_, err := NewRouter(tc.svc, ShardOptions{Self: -1})
+		if err == nil || !strings.Contains(err.Error(), "no peers") {
+			t.Fatalf("%s: NewRouter with no peers: %v, want the no-peers refusal", tc.name, err)
 		}
 	}
 }

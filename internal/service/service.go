@@ -1,6 +1,6 @@
 // Package service is the serving layer over the GECCO pipeline: a job
-// manager running a bounded number of concurrent abstraction jobs, a
-// sharded LRU cache of results keyed by log digest + canonicalised
+// manager running a bounded number of concurrent abstraction jobs, one
+// exact LRU cache of results keyed by log digest + canonicalised
 // constraint set + config, and coalescing of identical in-flight requests
 // onto a single pipeline run.
 //
@@ -319,6 +319,16 @@ type JobStats struct {
 	Queued   int   `json:"queued"`
 }
 
+// CacheStats is the result cache's accounting: hits and misses of the
+// lookups requests make, the results evicted past capacity, and occupancy.
+type CacheStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
+	Capacity  int   `json:"capacity"`
+}
+
 // UploadStats counts the upload path's work on uploaded logs.
 type UploadStats struct {
 	// Parsed counts uploads parsed into an index; an upload that fails to
@@ -353,11 +363,14 @@ type Stats struct {
 	Disk *DiskStats `json:"disk,omitempty"`
 }
 
+// resultCache maps a request key (requestKey) to its solved result.
+type resultCache = memo[string, *JobResult]
+
 // Service runs abstraction jobs with bounded concurrency, caching, and
 // request coalescing. Create with New; Close cancels everything.
 type Service struct {
 	opts     Options
-	cache    *Cache
+	cache    *resultCache
 	sessions *sessionCache  // nil when sessions are off
 	streams  *streamManager // nil when streaming is off
 	store    *diskStore     // nil when DataDir unset or unusable
@@ -395,6 +408,11 @@ type Service struct {
 	coalesced    atomic.Int64
 	panicked     atomic.Int64
 	pipelineRuns atomic.Int64
+	// cacheHits and cacheMisses count lookup's result-cache lookups, and
+	// cacheEvictions the results the cache evicted past capacity.
+	cacheHits      atomic.Int64
+	cacheMisses    atomic.Int64
+	cacheEvictions atomic.Int64
 	// uploadsParsed counts the parses openLog's loaders run.
 	uploadsParsed atomic.Int64
 	// uploadsDecoded counts the log strings decodeEnvelope unescaped.
@@ -430,17 +448,12 @@ func New(opts Options) *Service {
 	if opts.MaxStreams > 0 {
 		streams = newStreamManager(opts.MaxStreams)
 	}
-	cache := NewCache(opts.CacheCapacity)
-	if store != nil && opts.CacheCapacity > 0 {
-		store.loadResults(cache)
-	}
 	var pipe *stageCache
 	if opts.CacheCapacity > 0 {
 		pipe = newStageCache(pipelineCacheCapacity)
 	}
-	return &Service{
+	s := &Service{
 		opts:       opts,
-		cache:      cache,
 		sessions:   sessions,
 		streams:    streams,
 		store:      store,
@@ -457,6 +470,11 @@ func New(opts Options) *Service {
 		maxRetainedResults: maxRetainedResults,
 		sessionMemoLimit:   sessionMemoLimit,
 	}
+	s.cache = newMemo[string](opts.CacheCapacity, func(*JobResult) { s.cacheEvictions.Add(1) })
+	if store != nil && opts.CacheCapacity > 0 {
+		store.loadResults(s.cache)
+	}
+	return s
 }
 
 // Close cancels every queued and running job and waits for them to stop.
@@ -604,7 +622,16 @@ func (s *Service) Busy() bool {
 
 // Stats snapshots cache and job counters.
 func (s *Service) Stats() Stats {
-	st := Stats{Cache: s.cache.Stats(), Uploads: UploadStats{Parsed: s.uploadsParsed.Load(), Decoded: s.uploadsDecoded.Load()}}
+	st := Stats{
+		Cache: CacheStats{
+			Hits:      s.cacheHits.Load(),
+			Misses:    s.cacheMisses.Load(),
+			Evictions: s.cacheEvictions.Load(),
+			Entries:   s.cache.len(),
+			Capacity:  s.opts.CacheCapacity,
+		},
+		Uploads: UploadStats{Parsed: s.uploadsParsed.Load(), Decoded: s.uploadsDecoded.Load()},
+	}
 	if s.sessions != nil {
 		st.Sessions = s.sessions.Stats()
 	}
@@ -640,13 +667,18 @@ func (s *Service) Stats() Stats {
 }
 
 // lookup returns the request's result-cache key, "" when its config is not
-// cacheable, and its cached result when there is one.
+// cacheable, and its cached result when there is one. It is the one
+// lookup /stats counts as a hit or a miss.
 func (s *Service) lookup(req *Request) (key string, res *JobResult, ok bool) {
 	if !Cacheable(req.Config) {
 		return "", nil, false
 	}
 	key = requestKey(req.logDigest(), req.Constraints, req.Config)
-	res, ok = s.cache.Get(key)
+	if res, ok = s.cache.get(key); ok {
+		s.cacheHits.Add(1)
+	} else {
+		s.cacheMisses.Add(1)
+	}
 	return key, res, ok
 }
 
@@ -688,8 +720,8 @@ func (s *Service) startOrJoin(key string, req *Request, detached bool) (job *Job
 		}
 		// finish() publishes to the cache and drops the inflight entry
 		// under this same lock, so recheck before paying for a fresh run.
-		// Quiet: this request's miss was already counted lock-free.
-		if res, ok := s.cache.getQuiet(key); ok {
+		// Uncounted: lookup already counted this request's miss.
+		if res, ok := s.cache.get(key); ok {
 			return nil, false, res, nil
 		}
 	}
@@ -886,7 +918,7 @@ func (s *Service) finish(job *Job, res *JobResult, err error) {
 // write is asynchronous: disk IO has no business under s.mu or on a run's
 // critical path.
 func (s *Service) publish(key string, res *JobResult) {
-	s.cache.Put(key, res)
+	s.cache.put(key, res)
 	if s.store != nil {
 		s.store.saveResultAsync(key, res)
 	}

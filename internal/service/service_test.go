@@ -439,57 +439,49 @@ func TestAbandonedJobLeavesInflightTable(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction: a full result cache evicts its least recently
+// used entry, whatever its capacity.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2) // capacity < shard count collapses to one exact-LRU shard
-	a := &JobResult{Distance: 1}
-	b := &JobResult{Distance: 2}
-	d := &JobResult{Distance: 3}
-	c.Put("a", a)
-	c.Put("b", b)
-	if _, ok := c.Get("a"); !ok { // bump a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.Put("d", d)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("recently used entry a was evicted")
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", st.Entries)
+	for _, capacity := range []int{2, 16, 256} {
+		svc := New(Options{CacheCapacity: capacity})
+		t.Cleanup(svc.Close)
+		c := svc.cache
+		a := &JobResult{Distance: 1}
+		b := &JobResult{Distance: 2}
+		d := &JobResult{Distance: 3}
+		c.put("a", a)
+		c.put("b", b)
+		for i := 2; i < capacity; i++ {
+			c.put(fmt.Sprintf("fill-%d", i), &JobResult{})
+		}
+		if _, ok := c.get("a"); !ok { // bump a; b becomes LRU
+			t.Fatalf("capacity %d: a missing", capacity)
+		}
+		c.put("d", d)
+		if _, ok := c.get("b"); ok {
+			t.Fatalf("capacity %d: LRU entry b survived eviction", capacity)
+		}
+		if _, ok := c.get("a"); !ok {
+			t.Fatalf("capacity %d: recently used entry a was evicted", capacity)
+		}
+		st := svc.Stats().Cache
+		if st.Evictions != 1 {
+			t.Fatalf("capacity %d: evictions = %d, want 1", capacity, st.Evictions)
+		}
+		if st.Entries != capacity {
+			t.Fatalf("capacity %d: entries = %d, want %d", capacity, st.Entries, capacity)
+		}
 	}
 }
 
-// Shard capacities must sum to exactly the configured capacity, whatever
-// the rounding.
+// /stats reports exactly the configured result-cache capacity.
 func TestCacheCapacityExact(t *testing.T) {
 	for _, capacity := range []int{2, 16, 20, 100, 256, 1000} {
-		if got := NewCache(capacity).Stats().Capacity; got != capacity {
-			t.Fatalf("NewCache(%d) capacity = %d", capacity, got)
-		}
-	}
-}
-
-func TestCacheSharding(t *testing.T) {
-	c := NewCache(1024)
-	if len(c.shards) != defaultCacheShards {
-		t.Fatalf("shards = %d, want %d", len(c.shards), defaultCacheShards)
-	}
-	for i := 0; i < 500; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), &JobResult{Distance: float64(i)})
-	}
-	for i := 0; i < 500; i++ {
-		v, ok := c.Get(fmt.Sprintf("key-%d", i))
-		if !ok {
-			t.Fatalf("key-%d missing (capacity 1024, stored 500)", i)
-		}
-		if v.Distance != float64(i) {
-			t.Fatalf("key-%d holds %v", i, v.Distance)
+		svc := New(Options{CacheCapacity: capacity})
+		got := svc.Stats().Cache.Capacity
+		svc.Close()
+		if got != capacity {
+			t.Fatalf("CacheCapacity %d: capacity = %d", capacity, got)
 		}
 	}
 }

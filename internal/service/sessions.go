@@ -18,12 +18,12 @@ type SessionStats struct {
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
-	// IndexBytes is the summed estimated heap footprint the live sessions
-	// pin: each session's columnar index (class arenas, attribute columns,
-	// dictionaries, bitsets) plus, for sessions that have served an
-	// infeasible solve, the lazily materialised log copy. Uploads are
-	// parsed straight into their index, and warm-opened indexes are decoded
-	// onto the heap, so this is the whole per-log retention.
+	// IndexBytes is the summed estimated heap footprint of the live
+	// sessions' columnar indexes (class arenas, attribute columns,
+	// dictionaries, bitsets). Uploads are parsed straight into their index,
+	// warm-opened indexes are decoded onto the heap, and an infeasible
+	// solve answers with the session's own index, so a session pins no
+	// other copy of its log.
 	IndexBytes int64 `json:"indexBytes"`
 }
 
@@ -43,10 +43,8 @@ type sessionEntry struct {
 // sessionCache is an LRU of live core.Sessions keyed by log digest. It sits
 // *under* the result cache: a result hit never reaches it, a result miss on
 // a known log reuses the session's frozen artifacts and warm distance memo.
-// Unlike the sharded result cache it is a single-segment LRU — entries are
-// few (each pins a log's index and its memos) and lookups are
-// amortised by a full pipeline run, so exact LRU order beats shard-level
-// concurrency here.
+// Like the result cache it is one exact LRU; its mutex also guards the
+// build coalescing and the counters kept beside the entries.
 type sessionCache struct {
 	mu        sync.Mutex
 	lru       *lru[string, *sessionEntry]

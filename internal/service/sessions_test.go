@@ -120,7 +120,7 @@ func TestInfeasibleSolveDoesNotGrowSession(t *testing.T) {
 	if !ok {
 		t.Fatal("no live session for the log")
 	}
-	res, ok := svc.cache.getQuiet(requestKey(digest, mustSet(t, infeasible), core.Config{Mode: core.Exhaustive}))
+	res, ok := svc.cache.get(requestKey(digest, mustSet(t, infeasible), core.Config{Mode: core.Exhaustive}))
 	if !ok {
 		t.Fatal("the infeasible result is not cached")
 	}

@@ -244,7 +244,7 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 		return nil, err
 	}
 	if key != "" {
-		s.cache.Put(key, res)
+		s.cache.put(key, res)
 	}
 	return res.coreResult(), nil
 }

@@ -1,7 +1,8 @@
 // Upload decoding: the one body path of /abstract, /pipeline and the
 // router. A body is read once per node, capped at maxBodyBytes, into a
 // buffer that grows as bytes arrive and ends at its Content-Length; a
-// router that serves a body itself hands its handler the buffer it read. A
+// router that serves a body itself hands its handler the buffer it read,
+// with the log it decoded from it, so a node decodes each upload once. A
 // raw body is the log itself. A JSON envelope is scanned for its one
 // top-level "log" string. The first time a node sees that string, it is
 // validated and unescaped exactly as encoding/json does, a word at a time,
@@ -53,8 +54,8 @@ var bodyStallTimeout = 30 * time.Second
 // fails the read rather than hold its connection for ever. A writer that
 // cannot set deadlines (http.ErrNotSupported) reads without one.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if body, ok := r.Context().Value(bodyKey{}).([]byte); ok {
-		return body, nil
+	if up, ok := r.Context().Value(bodyKey{}).(*routedBody); ok {
+		return up.body, nil
 	}
 	rc := http.NewResponseController(w)
 	body, err := readCapped(stallReader{r.Body, rc}, r.ContentLength, maxBodyBytes)
@@ -68,13 +69,47 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, err
 }
 
-// bodyKey is the request-context key of a body the router already read.
+// routedBody is an upload the router read and decoded to place it on the
+// ring: the body, its log, and for an envelope the rest of the body as
+// decodeEnvelope decoded it.
+type routedBody struct {
+	body []byte
+	text *logText
+	rest []byte // nil for a raw body
+}
+
+// bodyKey is the request-context key of a routedBody.
 type bodyKey struct{}
 
-// withBody returns r carrying body, which readBody then returns instead of
-// reading r.Body.
-func withBody(r *http.Request, body []byte) *http.Request {
-	return r.WithContext(context.WithValue(r.Context(), bodyKey{}, body))
+// withBody returns r carrying an upload the router decoded, which readBody
+// and readUpload then return instead of reading r.Body.
+func withBody(r *http.Request, up *routedBody) *http.Request {
+	return r.WithContext(context.WithValue(r.Context(), bodyKey{}, up))
+}
+
+// readUpload reads an /abstract or /pipeline body and returns its log. A
+// raw body is the log itself; an envelope is decoded into env, whose "log"
+// field is log, as decodeEnvelope does. An upload the router decoded comes
+// with its log, and only the rest of its envelope is decoded here.
+func (s *Service) readUpload(w http.ResponseWriter, r *http.Request, env any, log *string) (*logText, error) {
+	if up, ok := r.Context().Value(bodyKey{}).(*routedBody); ok {
+		if up.rest != nil {
+			if err := json.Unmarshal(up.rest, env); err != nil {
+				return nil, fmt.Errorf("decoding JSON envelope: %w", err)
+			}
+			*log = ""
+		}
+		return up.text, nil
+	}
+	body, err := readBody(w, r)
+	if err != nil {
+		return nil, err
+	}
+	if !isEnvelope(r) {
+		return plainText(body), nil
+	}
+	text, _, err := s.decodeEnvelope(body, env, log)
+	return text, err
 }
 
 // stallReader renews the connection's read deadline before every read.
@@ -247,34 +282,35 @@ func uploadFormat(declared string, text *logText) (string, error) {
 
 // decodeEnvelope decodes a JSON envelope body into env, whose "log" field
 // is log, and returns the log as a logText; the field itself is left
-// empty. Requests and errors are those of json.Unmarshal(body, env). logs
-// is the node's log memo.
-func decodeEnvelope(body []byte, env any, log *string, logs *logMemo) (*logText, error) {
-	if text, start, end := scanEnvelope(body, logs); text != nil {
-		// The rest of the envelope: body with the log blanked to "".
-		rest := make([]byte, 0, len(body)-(end-start))
+// empty. rest is what went through encoding/json: the body with the log
+// blanked to "", or the whole body when the scanner did not take it.
+// Requests and errors are those of json.Unmarshal(body, env). logs is the
+// node's log memo.
+func decodeEnvelope(body []byte, env any, log *string, logs *logMemo) (text *logText, rest []byte, err error) {
+	text, start, end := scanEnvelope(body, logs)
+	rest = body
+	if text != nil {
+		rest = make([]byte, 0, len(body)-(end-start))
 		rest = append(append(rest, body[:start]...), body[end:]...)
-		if err := json.Unmarshal(rest, env); err != nil {
-			return nil, fmt.Errorf("decoding JSON envelope: %w", err)
-		}
-		return text, nil
 	}
-	if err := json.Unmarshal(body, env); err != nil {
-		return nil, fmt.Errorf("decoding JSON envelope: %w", err)
+	if err := json.Unmarshal(rest, env); err != nil {
+		return nil, nil, fmt.Errorf("decoding JSON envelope: %w", err)
 	}
-	text := plainText([]byte(*log))
-	*log = ""
-	return text, nil
+	if text == nil {
+		text = plainText([]byte(*log))
+		*log = ""
+	}
+	return text, rest, nil
 }
 
 // decodeEnvelope decodes an envelope through the node's log memo and
 // counts a log string it unescaped in full.
-func (s *Service) decodeEnvelope(body []byte, env any, log *string) (*logText, error) {
-	text, err := decodeEnvelope(body, env, log, s.logs)
+func (s *Service) decodeEnvelope(body []byte, env any, log *string) (*logText, []byte, error) {
+	text, rest, err := decodeEnvelope(body, env, log, s.logs)
 	if err == nil && text.decoded {
 		s.uploadsDecoded.Add(1)
 	}
-	return text, err
+	return text, rest, err
 }
 
 // logKey is the envelope member scanEnvelope looks for.

@@ -160,6 +160,8 @@ type routerEnvelope struct {
 // checkDecode decodes body into E twice through logs and holds each decode
 // to json.Unmarshal; the second never unescapes the log again, unless logs
 // is a memo that holds nothing, where it unescapes whatever the first did.
+// The rest of the envelope must decode into E as the body did, as a
+// handler decodes the rest a router hands it.
 func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E) (log *string, format string)) {
 	t.Helper()
 	var want E
@@ -169,7 +171,7 @@ func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E
 	for pass := 1; pass <= 2; pass++ {
 		var got E
 		gotLog, _ := fields(&got)
-		text, err := decodeEnvelope(body, &got, gotLog, logs)
+		text, rest, err := decodeEnvelope(body, &got, gotLog, logs)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("%T, decode %d: decodeEnvelope error %v, json.Unmarshal error %v", got, pass, err, werr)
 		}
@@ -186,6 +188,14 @@ func checkDecode[E any](t *testing.T, body []byte, logs *logMemo, fields func(*E
 		}
 		if *gotLog != "" {
 			t.Fatalf("%T, decode %d: Log field holds %q; the log belongs to the logText", got, pass, *gotLog)
+		}
+		var again E
+		againLog, _ := fields(&again)
+		if err := json.Unmarshal(rest, &again); err != nil {
+			t.Fatalf("%T, decode %d: the rest of the envelope does not decode: %v", got, pass, err)
+		}
+		if *againLog = ""; !reflect.DeepEqual(again, got) {
+			t.Fatalf("%T, decode %d: the rest decoded\n%+v\nthe envelope\n%+v", got, pass, again, got)
 		}
 		decoded := text.bytes()
 		if len(decoded) != text.n {
@@ -251,7 +261,7 @@ func TestLogMemoHitNeedsTheWholeString(t *testing.T) {
 	primed := func() *logMemo {
 		logs := newLogMemo(wireMemoCapacity)
 		var env routerEnvelope
-		text, err := decodeEnvelope([]byte(`{"log":`+string(quoted)+`}`), &env, &env.Log, logs)
+		text, _, err := decodeEnvelope([]byte(`{"log":`+string(quoted)+`}`), &env, &env.Log, logs)
 		if err != nil || !text.decoded {
 			t.Fatalf("priming the memo: decoded %v, err %v", text != nil && text.decoded, err)
 		}
@@ -283,7 +293,7 @@ func TestLogMemoShorterHeldLength(t *testing.T) {
 			logs := newLogMemo(wireMemoCapacity)
 			for _, s := range []string{short, long} {
 				var env routerEnvelope
-				text, err := decodeEnvelope([]byte(`{"log":"`+s+`"}`), &env, &env.Log, logs)
+				text, _, err := decodeEnvelope([]byte(`{"log":"`+s+`"}`), &env, &env.Log, logs)
 				if err != nil || !text.decoded {
 					t.Fatalf("priming the memo with %q: decoded %v, err %v", s, text != nil && text.decoded, err)
 				}
@@ -343,7 +353,7 @@ func TestLogMemoConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := (w*7 + r*r) % len(bodies)
 				var env AbstractRequest
-				text, err := decodeEnvelope(bodies[i], &env, &env.Log, logs)
+				text, _, err := decodeEnvelope(bodies[i], &env, &env.Log, logs)
 				got[w] = append(got[w], result{i, text, err})
 			}
 		}(w)
@@ -668,7 +678,7 @@ func BenchmarkDecodeEnvelope(b *testing.B) {
 		}
 		decode := func(b *testing.B, logs *logMemo) *logText {
 			var env AbstractRequest
-			text, err := decodeEnvelope(body, &env, &env.Log, logs)
+			text, _, err := decodeEnvelope(body, &env, &env.Log, logs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,7 +31,7 @@ type wireID struct {
 }
 
 func newWireMemo() *wireMemo {
-	return newMemo[wireID, string](wireMemoCapacity)
+	return newMemo[wireID, string](wireMemoCapacity, nil)
 }
 
 // wireKey is the reference for the wireID the upload path streams out of a

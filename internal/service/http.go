@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -202,16 +203,70 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeRunError(w, r, err)
 		return
 	}
+	if meta.Cached {
+		body, err := s.hitBody(res, req.Tag, env.OmitAbstracted)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeHeader(w, http.StatusOK)
+		w.Write(body)
+		return
+	}
 	resp, err := buildResponse(res, req.Tag, env.OmitAbstracted)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp.Cached = meta.Cached
 	resp.Coalesced = meta.CoalescedInto
 	resp.JobID = meta.JobID
 	resp.State = string(StateDone)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// hitBody returns the body of an /abstract cache hit on res: the response
+// in the given wire format, with or without the abstracted log. Nothing
+// else varies between two hits (a hit has no job ID and is never
+// coalesced), so the first hit that asks for a format renders the body as
+// writeJSON renders every response and stores it on res, and later hits
+// send the stored bytes. Two first hits that race both render the same
+// bytes, and either stored copy serves the rest. Batch items, async
+// submissions and job polls render per response, as their bodies differ.
+func (s *Service) hitBody(res *JobResult, format string, omitAbstracted bool) ([]byte, error) {
+	slot := &res.hitBodies[hitSlot(format, omitAbstracted)]
+	if body := slot.Load(); body != nil {
+		return *body, nil
+	}
+	resp, err := buildResponse(res, format, omitAbstracted)
+	if err != nil {
+		return nil, err
+	}
+	resp.Cached = true
+	resp.State = string(StateDone)
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, resp); err != nil {
+		return nil, err
+	}
+	// Exactly the body's length: the buffer's slack would stay on the heap
+	// for as long as the cache holds the result.
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	slot.Store(&body)
+	s.cacheRendered.Add(1)
+	return body, nil
+}
+
+// hitSlot numbers the hit bodies of a result: writeLog writes CSV for
+// "csv" and XES for any other format.
+func hitSlot(format string, omitAbstracted bool) int {
+	slot := 0
+	if format == "csv" {
+		slot = 1
+	}
+	if omitAbstracted {
+		slot += 2
+	}
+	return slot
 }
 
 // writeRunError answers a request whose run failed or was never admitted:
@@ -554,10 +609,20 @@ func writeLog(format string, x *eventlog.Index) (string, error) {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeHeader(w, status)
+	encodeJSON(w, v)
+}
+
+// writeHeader starts a JSON response.
+func writeHeader(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
+
+// encodeJSON writes v as every JSON response body is written, and as a
+// stored hit body is: encoding/json's defaults, HTML characters escaped and
+// a trailing newline.
+func encodeJSON(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})

@@ -65,6 +65,11 @@ type JobResult struct {
 	ConstraintChecks   int
 	SolverNodes        int
 	Timings            core.Timings
+
+	// hitBodies holds the bodies /abstract cache hits on this result send,
+	// one per wire format and omitAbstracted value (hitSlot). Each is nil
+	// until the first such hit renders it (Service.hitBody).
+	hitBodies [4]atomic.Pointer[[]byte]
 }
 
 // newJobResult keeps what the serving layer uses of a SolveIndex outcome.
@@ -320,13 +325,34 @@ type JobStats struct {
 }
 
 // CacheStats is the result cache's accounting: hits and misses of the
-// lookups requests make, the results evicted past capacity, and occupancy.
+// lookups requests make, the results evicted past capacity, the /abstract
+// hit bodies rendered, and occupancy.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
+	// Rendered counts the /abstract hit bodies rendered: one per result,
+	// wire format and omitAbstracted value on the first hit that asks for
+	// it, which later hits send as stored. Two first hits that race both
+	// render and both count.
+	Rendered int64 `json:"rendered"`
+	Entries  int   `json:"entries"`
+	Capacity int   `json:"capacity"`
+}
+
+// SolverStats sums the work of the solves a node ran: jobs, /pipeline
+// abstract stages and stream regroups. A cache hit solves nothing and adds
+// nothing.
+type SolverStats struct {
+	Solves           int64 `json:"solves"`
+	Candidates       int64 `json:"candidates"`
+	ConstraintChecks int64 `json:"constraintChecks"`
+	// ScreenedChecks counts the constraint verdicts the bitset screens
+	// decided without materialising instances.
+	ScreenedChecks int64 `json:"screenedChecks"`
+	// LBPruned counts the frontier nodes the distance lower bound skipped.
+	LBPruned   int64 `json:"lbPruned"`
+	CoverNodes int64 `json:"coverNodes"`
 }
 
 // UploadStats counts the upload path's work on uploaded logs.
@@ -355,6 +381,7 @@ type Stats struct {
 	// counts, and arrival/regrouping totals across all streams ever served.
 	Streams StreamStats `json:"streams"`
 	Jobs    JobStats    `json:"jobs"`
+	Solver  SolverStats `json:"solver"`
 	// Pipeline reports the staged-run engine: per-stage cache hit/miss
 	// counters and the state LRU's occupancy.
 	Pipeline PipelineStats `json:"pipeline"`
@@ -408,16 +435,20 @@ type Service struct {
 	coalesced    atomic.Int64
 	panicked     atomic.Int64
 	pipelineRuns atomic.Int64
-	// cacheHits and cacheMisses count lookup's result-cache lookups, and
-	// cacheEvictions the results the cache evicted past capacity.
+	// cacheHits and cacheMisses count lookup's result-cache lookups,
+	// cacheEvictions the results the cache evicted past capacity, and
+	// cacheRendered the hit bodies hitBody rendered.
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64
+	cacheRendered  atomic.Int64
 	// uploadsParsed counts the parses openLog's loaders run.
 	uploadsParsed atomic.Int64
 	// uploadsDecoded counts the log strings decodeEnvelope unescaped.
 	uploadsDecoded atomic.Int64
-	active         sync.WaitGroup
+	// solver sums the work of every solve.
+	solver solverCounters
+	active sync.WaitGroup
 
 	// draining marks the service as leaving rotation: /readyz reports 503 so
 	// routers and load balancers stop sending new work, while liveness and
@@ -627,10 +658,12 @@ func (s *Service) Stats() Stats {
 			Hits:      s.cacheHits.Load(),
 			Misses:    s.cacheMisses.Load(),
 			Evictions: s.cacheEvictions.Load(),
+			Rendered:  s.cacheRendered.Load(),
 			Entries:   s.cache.len(),
 			Capacity:  s.opts.CacheCapacity,
 		},
 		Uploads: UploadStats{Parsed: s.uploadsParsed.Load(), Decoded: s.uploadsDecoded.Load()},
+		Solver:  s.solver.stats(),
 	}
 	if s.sessions != nil {
 		st.Sessions = s.sessions.Stats()
@@ -857,7 +890,34 @@ func (s *Service) solve(ctx context.Context, req Request, admit bool) (*JobResul
 	if err != nil {
 		return nil, err
 	}
+	// The one place /stats' solver totals grow: every solve passes here.
+	s.solver.add(res)
 	return newJobResult(res, abstracted), nil
+}
+
+// solverCounters accumulates SolverStats from the results solve gets.
+type solverCounters struct {
+	solves, candidates, checks, screened, lbPruned, nodes atomic.Int64
+}
+
+func (c *solverCounters) add(res *core.Result) {
+	c.solves.Add(1)
+	c.candidates.Add(int64(res.NumCandidates))
+	c.checks.Add(int64(res.ConstraintChecks))
+	c.screened.Add(int64(res.ScreenedChecks))
+	c.lbPruned.Add(int64(res.LBPruned))
+	c.nodes.Add(int64(res.SolverNodes))
+}
+
+func (c *solverCounters) stats() SolverStats {
+	return SolverStats{
+		Solves:           c.solves.Load(),
+		Candidates:       c.candidates.Load(),
+		ConstraintChecks: c.checks.Load(),
+		ScreenedChecks:   c.screened.Load(),
+		LBPruned:         c.lbPruned.Load(),
+		CoverNodes:       c.nodes.Load(),
+	}
 }
 
 // session returns the session a solve of req runs on: the live one for its

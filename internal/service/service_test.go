@@ -561,3 +561,47 @@ func TestJobPanicFailsJob(t *testing.T) {
 		svc.Close()
 	}
 }
+
+// TestSolverStatsSumSolves: /stats' solver block sums the work of the
+// node's solves, and a cache hit adds nothing. Three distinct sets on one
+// log must total what the same three SolveIndex calls, in the same order,
+// report on one session built from that log.
+func TestSolverStatsSumSolves(t *testing.T) {
+	log := procgen.LoanLog(30, 5)
+	sets := []string{"distinct(role) <= 1\n|g| <= 8", "|g| <= 4", "distinct(role) <= 2\n|g| <= 6"}
+	cfg := core.Config{Mode: core.DFGBeam}
+	ctx := context.Background()
+
+	sess, err := core.NewSession(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want SolverStats
+	for _, src := range sets {
+		res, _, err := sess.SolveIndex(ctx, mustSet(t, src), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Solves++
+		want.Candidates += int64(res.NumCandidates)
+		want.ConstraintChecks += int64(res.ConstraintChecks)
+		want.ScreenedChecks += int64(res.ScreenedChecks)
+		want.LBPruned += int64(res.LBPruned)
+		want.CoverNodes += int64(res.SolverNodes)
+	}
+	if want.ScreenedChecks == 0 || want.LBPruned == 0 || want.CoverNodes == 0 {
+		t.Fatalf("the sets exercise too little of the solver: %+v", want)
+	}
+
+	svc := New(Options{})
+	defer svc.Close()
+	x := eventlog.NewIndex(log)
+	for _, src := range append(sets, sets[0]) {
+		if _, _, err := svc.Do(ctx, Request{Index: x, Constraints: mustSet(t, src), Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats(); st.Cache.Hits != 1 || st.Solver != want {
+		t.Fatalf("cache hits %d, solver %+v; want 1 hit and %+v", st.Cache.Hits, st.Solver, want)
+	}
+}

@@ -33,6 +33,7 @@ func MergeStats(a, b Stats) Stats {
 	out.Cache.Hits = a.Cache.Hits + b.Cache.Hits
 	out.Cache.Misses = a.Cache.Misses + b.Cache.Misses
 	out.Cache.Evictions = a.Cache.Evictions + b.Cache.Evictions
+	out.Cache.Rendered = a.Cache.Rendered + b.Cache.Rendered
 	out.Cache.Entries = a.Cache.Entries + b.Cache.Entries
 	out.Cache.Capacity = a.Cache.Capacity + b.Cache.Capacity
 
@@ -63,6 +64,13 @@ func MergeStats(a, b Stats) Stats {
 	out.Jobs.Panicked = a.Jobs.Panicked + b.Jobs.Panicked
 	out.Jobs.Running = a.Jobs.Running + b.Jobs.Running
 	out.Jobs.Queued = a.Jobs.Queued + b.Jobs.Queued
+
+	out.Solver.Solves = a.Solver.Solves + b.Solver.Solves
+	out.Solver.Candidates = a.Solver.Candidates + b.Solver.Candidates
+	out.Solver.ConstraintChecks = a.Solver.ConstraintChecks + b.Solver.ConstraintChecks
+	out.Solver.ScreenedChecks = a.Solver.ScreenedChecks + b.Solver.ScreenedChecks
+	out.Solver.LBPruned = a.Solver.LBPruned + b.Solver.LBPruned
+	out.Solver.CoverNodes = a.Solver.CoverNodes + b.Solver.CoverNodes
 
 	out.Pipeline.Runs = a.Pipeline.Runs + b.Pipeline.Runs
 	out.Pipeline.Entries = a.Pipeline.Entries + b.Pipeline.Entries
